@@ -20,83 +20,32 @@
 //!   processor's read and write of the same block (the behaviour dsmc's
 //!   pre-stabilisation scramble models explicitly at plan level).
 //!
-//! Reads are validated against a value oracle at fill time; the full-map
-//! and SWMR invariants are audited at every barrier, where the machine is
-//! quiescent.
+//! The handlers themselves live in the protocol core (`protocol.rs`),
+//! which [`ShardedMachine`](crate::ShardedMachine) runs too. This module
+//! is the core over every node plus one global [`EventQueue`]: it owns
+//! the fault, speculation and span layers the core consults, and the
+//! controlled-stepping surface [`simcheck`](crate::simcheck) drives. The
+//! full-map and SWMR invariants are audited at every barrier, where the
+//! machine is quiescent; the end-to-end value check is the serialized
+//! engine's.
 
 use crate::config::SystemConfig;
-use crate::driver::{AccessOp, IterationPlan, Phase};
+use crate::driver::{IterationPlan, Phase};
 use crate::event::EventQueue;
 use crate::fault::{FaultInjector, FaultPlan, FaultTally};
-use crate::machine::{ForwardKind, SimError, SpeculationPolicy};
+use crate::machine::{SimError, SpeculationPolicy};
+use crate::protocol::{self, Core, Event, Layers, Sched};
 use crate::stats::MachineStats;
-use obs::span::{SpanKind, SpanLog, TraceId};
+use obs::span::SpanLog;
 use obs::{Event as ObsEvent, EventRing, Severity};
-use stache::cache::{self, CacheAction};
-use stache::directory::{self};
 use stache::fingerprint::Fp;
-use stache::invariants::check_block;
-use stache::placement::home_of_block;
 use stache::{
-    BlockAddr, CacheState, DedupFilter, DirState, Msg, MsgType, NodeId, NodeSet, ProcOp,
-    ProtocolConfig, ProtocolTally, RecoveryTally, RollbackTally,
+    BlockAddr, CacheState, DedupFilter, DirState, Msg, NodeId, ProtocolConfig, ProtocolTally,
+    RecoveryTally, RollbackTally,
 };
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashSet;
 use trace::{MsgRecord, TraceBundle, TraceMeta};
-
-/// A queued event.
-#[derive(Debug, Clone)]
-enum Event {
-    /// A processor attempts its next script operation.
-    Issue(NodeId),
-    /// A message is delivered to its receiver, carrying its transmission
-    /// sequence number (0 and unchecked on a perfect fabric).
-    Deliver(Msg, u64),
-    /// A NAK bounces a request for a busy block back to its sender
-    /// (fault mode only). NAKs are recovery-layer control traffic,
-    /// excluded from the trace vocabulary like §5.1 barrier messages.
-    Nak {
-        /// The NAKed requester.
-        node: NodeId,
-        /// The contended block.
-        block: BlockAddr,
-    },
-    /// A requester's retransmission timer (fault mode only). Lazily
-    /// cancelled: stale epochs are ignored when popped.
-    RetryCheck {
-        /// The waiting requester.
-        node: NodeId,
-        /// The miss epoch the timer was armed in.
-        epoch: u64,
-        /// Transmission attempts made so far.
-        attempt: u32,
-    },
-    /// A directory's invalidation-acknowledgment timer (fault mode
-    /// only), also lazily cancelled via the transaction epoch.
-    AckCheck {
-        /// The transaction's block.
-        block: BlockAddr,
-        /// The transaction epoch the timer was armed for.
-        epoch: u64,
-        /// Re-send rounds completed so far.
-        attempt: u32,
-    },
-    /// A speculative push (unsolicited grant) travelling home → target
-    /// over the reliable control channel. Like NAKs, pushes are outside
-    /// the Table 1 trace vocabulary. The message type encodes the flavour
-    /// (`get_ro_response` = shared copy, `get_rw_response` = exclusive).
-    SpecPush(Msg, u64),
-    /// The target's verdict on a push, travelling back to the home.
-    SpecPushResp {
-        /// The response message (target → home).
-        msg: Msg,
-        /// Whether the target accepted the pushed copy.
-        accepted: bool,
-        /// Transmission sequence number (0 on a perfect fabric).
-        seq: u64,
-    },
-}
 
 impl Event {
     /// Human-readable label, used in simcheck schedule artifacts.
@@ -226,49 +175,39 @@ impl ProtocolMutation {
     }
 }
 
-/// An in-flight directory transaction for one block.
-#[derive(Debug, Clone)]
-struct DirTxn {
-    requester: NodeId,
-    /// The grant to send when all acknowledgments are in (`None` for the
-    /// home's own accesses, which need no reply message).
-    reply: Option<MsgType>,
-    next: DirState,
-    outstanding: usize,
-    /// Whether the requester is the home itself.
-    local: bool,
-    /// The invalidations/downgrades sent, kept so fault-mode ack timers
-    /// can re-send exactly the unacknowledged ones.
-    holders: Vec<(NodeId, MsgType)>,
-    /// Holders whose acknowledgment has been counted (fault mode):
-    /// makes ack processing idempotent under re-sends and races.
-    acked: HashSet<NodeId>,
-    /// Monotone transaction id; a popped [`Event::AckCheck`] with a
-    /// different epoch belongs to an earlier transaction and is ignored.
-    epoch: u64,
-    /// Whether this transaction is a speculative push (no requester is
-    /// blocked on it; `next` is provisional until the target's verdict).
-    speculative: bool,
-    /// The requester's span tree, threaded onto every message the
-    /// transaction sends (observability only).
-    trace: TraceId,
+/// The concurrent engine's scheduler: one global `(time, seq)`-ranked
+/// queue, the trace, the flight recorder and the layers.
+#[derive(Debug)]
+struct Global {
+    queue: EventQueue<Event>,
+    trace: TraceBundle,
+    /// Bounded flight recorder (`RefCell` so the `&self` audit path can
+    /// log violations).
+    ring: RefCell<EventRing>,
+    layers: Layers,
 }
 
-/// A request waiting for a busy block at its home directory.
-#[derive(Debug, Clone)]
-struct PendingReq {
-    msg: Msg,
-    arrived: u64,
-}
+impl Sched for Global {
+    fn push(&mut self, at: u64, ev: Event) {
+        self.queue.push(at, ev);
+    }
 
-/// The network span name for a message in flight, by protocol leg.
-fn net_span_name(mtype: MsgType) -> &'static str {
-    use MsgType::*;
-    match mtype {
-        GetRoRequest | GetRwRequest | UpgradeRequest => "net.request",
-        GetRoResponse | GetRwResponse | UpgradeResponse => "net.reply",
-        InvalRoRequest | InvalRwRequest | DowngradeRequest => "net.inval",
-        InvalRoResponse | InvalRwResponse | DowngradeResponse => "net.ack",
+    fn capture(&mut self, time: u64, msg: &Msg, iteration: u32) {
+        let rec = MsgRecord::from_msg(msg, time, iteration);
+        if let Some(policy) = self.layers.policy.as_mut() {
+            policy.observe(&rec);
+        }
+        let index = self.trace.len() as u64;
+        self.layers.spans.link_record(msg.trace, index);
+        self.trace.push(rec);
+    }
+
+    fn log(&mut self, ev: impl FnOnce() -> ObsEvent) {
+        self.ring.get_mut().push(ev());
+    }
+
+    fn layers(&mut self) -> Option<&mut Layers> {
+        Some(&mut self.layers)
     }
 }
 
@@ -276,118 +215,37 @@ fn net_span_name(mtype: MsgType) -> &'static str {
 /// the [`run_workload`] helper.
 #[derive(Debug)]
 pub struct ConcurrentMachine {
-    proto: ProtocolConfig,
-    sys: SystemConfig,
-    queue: EventQueue<Event>,
-    caches: Vec<HashMap<BlockAddr, CacheState>>,
-    dirs: HashMap<BlockAddr, DirState>,
-    txns: HashMap<BlockAddr, DirTxn>,
-    pending: HashMap<BlockAddr, VecDeque<PendingReq>>,
-    dir_busy: Vec<u64>,
-    /// Per-node time at which the cache-side protocol handler frees up
-    /// (invalidations and grants are software-handled too).
-    cache_busy: Vec<u64>,
-    clocks: Vec<u64>,
-    /// Remaining operations of the current phase, per node.
-    scripts: Vec<VecDeque<(BlockAddr, ProcOp)>>,
-    /// The (block, op, issue time) each processor is blocked on, if any.
-    waiting: Vec<Option<(BlockAddr, ProcOp, u64)>>,
-    trace: TraceBundle,
-    stats: MachineStats,
-    overflowed: HashSet<BlockAddr>,
-    cache_values: Vec<HashMap<BlockAddr, u64>>,
-    mem_values: HashMap<BlockAddr, u64>,
-    next_stamp: u64,
-    iteration: u32,
-    /// The §4 speculation hook, if any.
-    policy: Option<Box<dyn SpeculationPolicy>>,
-    /// Per-transition and invariant-check tallies, exported by
-    /// [`ConcurrentMachine::obs_snapshot`].
-    tally: ProtocolTally,
-    /// Bounded flight recorder (`RefCell` so the `&self` audit path can
-    /// log violations).
-    ring: RefCell<EventRing>,
-    /// Network fault injection, if installed. `None` (the default) means
-    /// a perfect fabric and the original code paths.
-    fault: Option<FaultInjector>,
-    /// Per-node duplicate filters (sequence-numbered idempotent delivery).
-    dedup: Vec<DedupFilter>,
-    /// Next transmission sequence number per *receiver*.
-    next_seq_to: Vec<u64>,
-    /// Per-node miss epoch, bumped when a miss completes — lazily
-    /// cancels that node's outstanding [`Event::RetryCheck`] timers.
-    miss_epoch: Vec<u64>,
-    /// Per-node grant poison line: a grant carrying a sequence number
-    /// below this was transmitted before a recall this node has already
-    /// acknowledged while waiting, so consuming it would re-admit a copy
-    /// the directory believes reclaimed. Only ever raised in fault mode
-    /// (sequence numbers are all zero on a perfect fabric).
-    grant_poison: Vec<u64>,
-    /// Whether the node's current miss needed a recovery action, for the
-    /// recovery-latency histogram.
-    miss_recovered: Vec<bool>,
-    /// Monotone counter stamping [`DirTxn::epoch`].
-    txn_epoch: u64,
-    /// Everything the recovery layer did (quiet on a perfect fabric).
-    recovery: RecoveryTally,
-    /// Speculative push/rollback accounting (quiet without a policy).
-    rollback: RollbackTally,
-    /// Seeded protocol bug for simcheck self-validation (off by default).
-    mutation: ProtocolMutation,
-    /// Causal span log (disabled by default — see
-    /// [`ConcurrentMachine::enable_tracing`]).
-    spans: SpanLog,
-    /// The span tree of each node's in-flight miss, if any.
-    miss_trace: Vec<TraceId>,
+    core: Core<Global>,
 }
 
 impl ConcurrentMachine {
     /// Creates a machine.
     pub fn new(proto: ProtocolConfig, sys: SystemConfig) -> Self {
         let nodes = proto.nodes;
-        ConcurrentMachine {
-            proto,
-            sys,
+        let sched = Global {
             queue: EventQueue::new(),
-            caches: vec![HashMap::new(); nodes],
-            dirs: HashMap::new(),
-            txns: HashMap::new(),
-            pending: HashMap::new(),
-            dir_busy: vec![0; nodes],
-            cache_busy: vec![0; nodes],
-            clocks: vec![0; nodes],
-            scripts: vec![VecDeque::new(); nodes],
-            waiting: vec![None; nodes],
             trace: TraceBundle::new(TraceMeta::new("unnamed", nodes, 0)),
-            stats: MachineStats::default(),
-            overflowed: HashSet::new(),
-            cache_values: vec![HashMap::new(); nodes],
-            mem_values: HashMap::new(),
-            next_stamp: 0,
-            iteration: 0,
-            policy: None,
-            tally: ProtocolTally::new(),
             ring: RefCell::new(EventRing::default()),
-            fault: None,
-            dedup: vec![DedupFilter::new(); nodes],
-            next_seq_to: vec![0; nodes],
-            miss_epoch: vec![0; nodes],
-            grant_poison: vec![0; nodes],
-            miss_recovered: vec![false; nodes],
-            txn_epoch: 0,
-            recovery: RecoveryTally::new(),
-            rollback: RollbackTally::new(),
-            mutation: ProtocolMutation::default(),
-            spans: SpanLog::new(),
-            miss_trace: vec![TraceId::NONE; nodes],
+            layers: Layers::new(nodes),
+        };
+        ConcurrentMachine {
+            core: Core::new(proto, sys, 0, nodes, sched),
         }
+    }
+
+    fn layers(&self) -> &Layers {
+        &self.core.sched.layers
+    }
+
+    fn layers_mut(&mut self) -> &mut Layers {
+        &mut self.core.sched.layers
     }
 
     /// Seeds a deliberately broken protocol variant (see
     /// [`ProtocolMutation`]). Only simcheck's self-validation tests turn
     /// this on.
     pub fn set_mutation(&mut self, mutation: ProtocolMutation) {
-        self.mutation = mutation;
+        self.layers_mut().mutation = mutation;
     }
 
     /// Installs a network fault plan: every send passes through a
@@ -404,73 +262,73 @@ impl ConcurrentMachine {
     /// Installs a pre-built injector — lets tests pin faults to exact
     /// delivery indices with [`FaultInjector::force`].
     pub fn set_fault_injector(&mut self, injector: FaultInjector) {
-        self.fault = Some(injector);
+        self.layers_mut().fault = Some(injector);
     }
 
     /// The installed injector, if any.
     pub fn fault_injector_mut(&mut self) -> Option<&mut FaultInjector> {
-        self.fault.as_mut()
+        self.layers_mut().fault.as_mut()
     }
 
     /// Faults injected so far, when a plan is installed.
     pub fn fault_tally(&self) -> Option<&FaultTally> {
-        self.fault.as_ref().map(FaultInjector::tally)
+        self.layers().fault.as_ref().map(FaultInjector::tally)
     }
 
     /// Recovery-layer actions taken so far (quiet on a perfect fabric).
     pub fn recovery_tally(&self) -> &RecoveryTally {
-        &self.recovery
+        &self.layers().recovery
     }
 
     /// Speculative push/rollback actions taken so far (quiet without a
     /// speculation policy installed).
     pub fn rollback_tally(&self) -> &RollbackTally {
-        &self.rollback
+        &self.layers().rollback
     }
 
     /// Installs a speculation policy (the §4 integration): exclusive
     /// grants on predicted upgrades, voluntary replacement on predicted
     /// recalls — both fully race-checked in this engine.
     pub fn set_policy(&mut self, policy: Box<dyn SpeculationPolicy>) {
-        self.policy = Some(policy);
+        self.layers_mut().policy = Some(policy);
     }
 
     /// Names the trace.
     pub fn set_app(&mut self, app: &str, iterations: u32) {
-        let nodes = self.proto.nodes;
-        let mut bundle = TraceBundle::new(TraceMeta::new(app, nodes, iterations));
-        bundle.extend_records(self.trace.records().iter().copied());
-        self.trace = bundle;
+        let trace = &mut self.core.sched.trace;
+        let mut bundle = TraceBundle::new(TraceMeta::new(app, self.core.proto.nodes, iterations));
+        bundle.extend_records(trace.records().iter().copied());
+        *trace = bundle;
     }
 
     /// The captured trace.
     pub fn trace(&self) -> &TraceBundle {
-        &self.trace
+        &self.core.sched.trace
     }
 
     /// Consumes the machine, returning its trace.
     pub fn into_trace(self) -> TraceBundle {
-        self.trace
+        self.core.sched.trace
     }
 
     /// Machine statistics.
     pub fn stats(&self) -> &MachineStats {
-        &self.stats
+        &self.core.stats
     }
 
     /// Per-transition and invariant-check tallies.
     pub fn tally(&self) -> &ProtocolTally {
-        &self.tally
+        &self.core.tally
     }
 
     /// Enables or disables the flight recorder (enabled by default).
     pub fn set_ring_enabled(&mut self, enabled: bool) {
-        self.ring.get_mut().set_enabled(enabled);
+        self.core.sched.ring.get_mut().set_enabled(enabled);
     }
 
     /// Sets the minimum severity the flight recorder retains.
     pub fn set_ring_min_severity(&mut self, min: Severity) {
-        self.ring.get_mut().set_min_severity(min);
+        self.core.sched.ring.get_mut().set_min_severity(min);
     }
 
     /// Turns causal span tracing on. Off (the default), every span call
@@ -479,17 +337,17 @@ impl ConcurrentMachine {
     /// already computes. Purely observational: timing, ordering, and
     /// protocol state are unchanged either way.
     pub fn enable_tracing(&mut self) {
-        self.spans.enable();
+        self.layers_mut().spans.enable();
     }
 
     /// The span log recorded so far.
     pub fn spans(&self) -> &SpanLog {
-        &self.spans
+        &self.layers().spans
     }
 
     /// Takes the span log, leaving a fresh disabled one.
     pub fn take_spans(&mut self) -> SpanLog {
-        std::mem::take(&mut self.spans)
+        std::mem::take(&mut self.layers_mut().spans)
     }
 
     /// Closes any spans still open, marking them `"orphaned"`, and
@@ -499,66 +357,64 @@ impl ConcurrentMachine {
     /// the flight recorder as a warning.
     pub fn flag_orphaned_spans(&mut self) -> u64 {
         let at = self.execution_time_ns();
-        let flagged = self.spans.flag_orphans(at);
+        let flagged = self.layers_mut().spans.flag_orphans(at);
         if flagged > 0 {
-            self.ring
-                .get_mut()
-                .push(ObsEvent::new(at, Severity::Warn, "span.orphaned").value(flagged));
+            self.core
+                .sched
+                .log(|| ObsEvent::new(at, Severity::Warn, "span.orphaned").value(flagged));
         }
         flagged
     }
 
     /// The flight recorder's retained events, oldest first.
     pub fn flight_events(&self) -> Vec<ObsEvent> {
-        self.ring.borrow().events()
+        self.core.sched.ring.borrow().events()
     }
 
     /// Visits the flight recorder's retained events, oldest first,
     /// without copying them out.
     pub fn for_each_flight_event(&self, f: impl FnMut(&ObsEvent)) {
-        self.ring.borrow().for_each(f);
+        self.core.sched.ring.borrow().for_each(f);
     }
 
     /// Renders the flight recorder for post-mortem inspection.
     pub fn dump_flight_recorder(&self) -> String {
-        self.ring.borrow().dump()
+        self.core.sched.ring.borrow().dump()
     }
 
     /// Point-in-time export of every machine metric, including the
     /// event-queue depth distribution this engine uniquely sustains.
     pub fn obs_snapshot(&self) -> obs::Snapshot {
         let mut snap = obs::Snapshot::new();
-        self.stats.export_obs(&mut snap);
-        self.tally.export_obs(&mut snap);
-        snap.counter("simx.trace.records", self.trace.len() as u64);
-        snap.counter("simx.ring.events_total", self.ring.borrow().total_pushed());
-        snap.histogram("simx.queue.depth", self.queue.depth_histogram());
+        let sched = &self.core.sched;
+        self.core.stats.export_obs(&mut snap);
+        self.core.tally.export_obs(&mut snap);
+        snap.counter("simx.trace.records", sched.trace.len() as u64);
+        snap.counter("simx.ring.events_total", sched.ring.borrow().total_pushed());
+        snap.histogram("simx.queue.depth", sched.queue.depth_histogram());
         // Fault/recovery metrics appear only when an injector is
         // installed, so clean runs keep their exact metric set.
-        if let Some(inj) = &self.fault {
+        let layers = &sched.layers;
+        if let Some(inj) = &layers.fault {
             inj.tally().export_obs(&mut snap);
-            self.recovery.export_obs(&mut snap);
+            layers.recovery.export_obs(&mut snap);
         }
         // Rollback metrics appear only when speculation actually acted,
         // so non-speculative runs keep their exact metric set.
-        if !self.rollback.is_quiet() {
-            self.rollback.export_obs(&mut snap);
+        if !layers.rollback.is_quiet() {
+            layers.rollback.export_obs(&mut snap);
         }
         // Span metrics appear only when tracing is on, so untraced runs
         // keep their exact metric set.
-        if self.spans.is_enabled() {
-            self.spans.export_obs("simx.span", &mut snap);
+        if layers.spans.is_enabled() {
+            layers.spans.export_obs("simx.span", &mut snap);
         }
         snap
     }
 
     /// Execution time so far (latest node clock).
     pub fn execution_time_ns(&self) -> u64 {
-        self.clocks.iter().copied().max().unwrap_or(0)
-    }
-
-    fn one_way(&self, from: NodeId, to: NodeId) -> u64 {
-        self.sys.one_way_between_ns(from, to, self.proto.nodes)
+        self.core.clocks.iter().copied().max().unwrap_or(0)
     }
 
     /// One node's recorded cache state for a block (`Invalid` when the
@@ -566,171 +422,7 @@ impl ConcurrentMachine {
     /// directory entry, not here — see
     /// [`cache_states_for`](Self::cache_states_for).
     pub fn cache_state(&self, node: NodeId, block: BlockAddr) -> CacheState {
-        self.caches[node.index()]
-            .get(&block)
-            .copied()
-            .unwrap_or(CacheState::Invalid)
-    }
-
-    fn set_cache_state(&mut self, node: NodeId, block: BlockAddr, s: CacheState) {
-        let prev = self.cache_state(node, block);
-        self.tally.cache_transition(prev, s);
-        if s == CacheState::Invalid {
-            self.caches[node.index()].remove(&block);
-        } else {
-            self.caches[node.index()].insert(block, s);
-        }
-        self.ring.get_mut().push(
-            ObsEvent::new(
-                self.clocks[node.index()],
-                Severity::Debug,
-                "cache.transition",
-            )
-            .node(node.raw())
-            .block(block.number())
-            .msg(s.short_name()),
-        );
-    }
-
-    fn set_dir(&mut self, block: BlockAddr, next: DirState) {
-        match (&next, self.proto.limited_pointers) {
-            (DirState::Shared(s), Some(budget)) if s.len() > budget => {
-                if self.overflowed.insert(block) {
-                    self.stats.directory_overflows += 1;
-                }
-            }
-            (DirState::Shared(_), _) => {}
-            _ => {
-                self.overflowed.remove(&block);
-            }
-        }
-        self.tally
-            .dir_transition(self.dirs.get(&block).unwrap_or(&DirState::Idle), &next);
-        self.dirs.insert(block, next);
-    }
-
-    fn record(&mut self, time: u64, msg: &Msg) {
-        self.stats.count_message(msg.mtype);
-        self.ring.get_mut().push(
-            ObsEvent::new(time, Severity::Info, "msg.recv")
-                .node(msg.receiver.raw())
-                .block(msg.block.number())
-                .msg(msg.mtype.paper_name())
-                .value(msg.sender.raw() as u64),
-        );
-        let rec = MsgRecord::from_msg(msg, time, self.iteration);
-        if let Some(policy) = self.policy.as_mut() {
-            policy.observe(&rec);
-        }
-        self.spans.link_record(msg.trace, self.trace.len() as u64);
-        self.trace.push(rec);
-    }
-
-    fn send(&mut self, at: u64, msg: Msg) {
-        let hop = self.one_way(msg.sender, msg.receiver);
-        self.stats.net_latency_ns.record(hop);
-        if self.fault.is_none() {
-            self.spans.child(
-                msg.trace,
-                net_span_name(msg.mtype),
-                SpanKind::Network,
-                at,
-                at + hop,
-                msg.sender.raw(),
-            );
-            self.queue.push(at + hop, Event::Deliver(msg, 0));
-            return;
-        }
-        let seq = self.next_seq_to[msg.receiver.index()];
-        self.next_seq_to[msg.receiver.index()] += 1;
-        let d = self.fault.as_mut().unwrap().next_delivery(hop);
-        if d.dropped {
-            // The wire ate it; whoever is responsible will time out.
-            self.spans.child(
-                msg.trace,
-                "net.lost",
-                SpanKind::Retry,
-                at,
-                at + hop,
-                msg.sender.raw(),
-            );
-            return;
-        }
-        self.spans.child(
-            msg.trace,
-            net_span_name(msg.mtype),
-            SpanKind::Network,
-            at,
-            at + hop + d.extra_ns,
-            msg.sender.raw(),
-        );
-        self.queue
-            .push(at + hop + d.extra_ns, Event::Deliver(msg, seq));
-        if d.duplicated {
-            // The copy traverses the wire too, carrying the same
-            // sequence number; the receiver's filter absorbs it.
-            self.stats.net_latency_ns.record(hop);
-            self.queue
-                .push(at + hop + d.extra_ns, Event::Deliver(msg, seq));
-        }
-    }
-
-    /// Sends over the reliable control channel: never fault-injected.
-    /// Used for voluntary writebacks, whose loss the protocol has no
-    /// timer to detect (nothing waits on them).
-    fn send_reliable(&mut self, at: u64, msg: Msg) {
-        let hop = self.one_way(msg.sender, msg.receiver);
-        self.stats.net_latency_ns.record(hop);
-        let seq = if self.fault.is_some() {
-            let s = self.next_seq_to[msg.receiver.index()];
-            self.next_seq_to[msg.receiver.index()] += 1;
-            s
-        } else {
-            0
-        };
-        self.spans.child(
-            msg.trace,
-            net_span_name(msg.mtype),
-            SpanKind::Network,
-            at,
-            at + hop,
-            msg.sender.raw(),
-        );
-        self.queue.push(at + hop, Event::Deliver(msg, seq));
-    }
-
-    /// Arms a requester-side retransmission timer for the node's current
-    /// miss (no-op on a perfect fabric).
-    fn arm_retry(&mut self, node: NodeId, now: u64, attempt: u32) {
-        let Some(inj) = &self.fault else { return };
-        let timeout = inj.retry().timeout_for(attempt);
-        self.queue.push(
-            now + timeout,
-            Event::RetryCheck {
-                node,
-                epoch: self.miss_epoch[node.index()],
-                attempt,
-            },
-        );
-    }
-
-    /// Retransmits the request for the node's in-flight miss, deriving
-    /// the message type from the cache's transient state (which tracks
-    /// upgrade-race conversions automatically).
-    fn resend_request(&mut self, node: NodeId, at: u64) {
-        let Some((block, _, _)) = self.waiting[node.index()] else {
-            return;
-        };
-        let home = home_of_block(block, &self.proto);
-        let req = match self.cache_state(node, block) {
-            CacheState::IToS => MsgType::GetRoRequest,
-            CacheState::IToE => MsgType::GetRwRequest,
-            CacheState::SToE => MsgType::UpgradeRequest,
-            // The grant raced this retransmission and won: nothing to do.
-            _ => return,
-        };
-        let tr = self.miss_trace[node.index()];
-        self.send(at, Msg::new(node, home, block, req).with_trace(tr));
+        self.core.cache_state(node, block)
     }
 
     /// Executes one iteration plan: each phase runs to quiescence, then a
@@ -740,18 +432,13 @@ impl ConcurrentMachine {
     ///
     /// Propagates protocol errors and invariant violations.
     pub fn run_plan(&mut self, plan: &IterationPlan, iteration: u32) -> Result<(), SimError> {
-        self.iteration = iteration;
+        self.core.iteration = iteration;
         for phase in &plan.phases {
-            self.run_phase(phase)?;
+            self.begin_phase(phase);
+            while let Some((t, ev)) = self.core.sched.queue.pop() {
+                self.core.dispatch(t, ev)?;
+            }
             self.barrier()?;
-        }
-        Ok(())
-    }
-
-    fn run_phase(&mut self, phase: &Phase) -> Result<(), SimError> {
-        self.begin_phase(phase);
-        while let Some((t, ev)) = self.queue.pop() {
-            self.dispatch(t, ev)?;
         }
         Ok(())
     }
@@ -761,82 +448,28 @@ impl ConcurrentMachine {
     /// [`simcheck`](crate::simcheck), which then delivers events one at a
     /// time via [`step_rank`](Self::step_rank).
     pub fn begin_phase(&mut self, phase: &Phase) {
-        // Load scripts, expanding read-modify-writes (non-atomic here).
         for (node, accesses) in phase.per_node.iter().enumerate() {
-            let script = &mut self.scripts[node];
-            debug_assert!(script.is_empty(), "previous phase drained");
-            for a in accesses {
-                debug_assert_eq!(a.node.index(), node);
-                match a.op {
-                    AccessOp::Read => script.push_back((a.block, ProcOp::Read)),
-                    AccessOp::Write => script.push_back((a.block, ProcOp::Write)),
-                    AccessOp::ReadModifyWrite => {
-                        script.push_back((a.block, ProcOp::Read));
-                        script.push_back((a.block, ProcOp::Write));
-                    }
-                }
-            }
-            if !script.is_empty() {
-                let n = NodeId::new(node);
-                let start = self.clocks[node] + phase.delay(n);
-                self.clocks[node] = start;
-                self.queue.push(start, Event::Issue(n));
+            let n = NodeId::new(node);
+            if let Some(start) = self.core.load_script(n, accesses, phase.delay(n)) {
+                self.core.sched.queue.push(start, Event::Issue(n));
             }
         }
-    }
-
-    fn dispatch(&mut self, t: u64, ev: Event) -> Result<(), SimError> {
-        match ev {
-            Event::Issue(node) => self.on_issue(node, t)?,
-            Event::Deliver(msg, seq) => {
-                if self.fault.is_some() && !self.dedup[msg.receiver.index()].observe(seq) {
-                    // A duplicated transmission: absorbed before it
-                    // can re-run a handler or pollute the trace.
-                    self.recovery.dups_absorbed += 1;
-                    return Ok(());
-                }
-                self.on_deliver(&msg, seq, t)?;
-            }
-            Event::Nak { node, block } => self.on_nak(node, block, t),
-            Event::RetryCheck {
-                node,
-                epoch,
-                attempt,
-            } => self.on_retry_check(node, epoch, attempt, t)?,
-            Event::AckCheck {
-                block,
-                epoch,
-                attempt,
-            } => self.on_ack_check(block, epoch, attempt, t)?,
-            Event::SpecPush(msg, seq) => {
-                if self.fault.is_some() && !self.dedup[msg.receiver.index()].observe(seq) {
-                    self.recovery.dups_absorbed += 1;
-                    return Ok(());
-                }
-                self.on_spec_push(&msg, t);
-            }
-            Event::SpecPushResp { msg, accepted, seq } => {
-                if self.fault.is_some() && !self.dedup[msg.receiver.index()].observe(seq) {
-                    self.recovery.dups_absorbed += 1;
-                    return Ok(());
-                }
-                self.on_spec_push_resp(&msg, accepted, t)?;
-            }
-        }
-        Ok(())
     }
 
     /// Number of pending events, which is also the branching factor a
     /// model checker faces at this state.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.core.sched.queue.len()
     }
 
     /// Labels of the pending events in deterministic delivery order
     /// (rank 0 delivers first under the unforced scheduler).
     pub fn pending_labels(&self) -> Vec<String> {
-        let mut out = Vec::with_capacity(self.queue.len());
-        self.queue.for_each_ranked(|_, ev| out.push(ev.label()));
+        let mut out = Vec::with_capacity(self.pending_events());
+        self.core
+            .sched
+            .queue
+            .for_each_ranked(|_, ev| out.push(ev.label()));
         out
     }
 
@@ -848,13 +481,12 @@ impl ConcurrentMachine {
     /// legally be forced next. simcheck uses this to confine exploration
     /// to delivery orders the network can actually produce.
     pub fn pending_channels(&self) -> Vec<Option<(NodeId, NodeId)>> {
-        let mut out = Vec::with_capacity(self.queue.len());
-        self.queue.for_each_ranked(|_, ev| {
+        let mut out = Vec::with_capacity(self.pending_events());
+        self.core.sched.queue.for_each_ranked(|_, ev| {
             out.push(match ev {
-                Event::Deliver(msg, _) | Event::SpecPush(msg, _) => {
-                    Some((msg.sender, msg.receiver))
-                }
-                Event::SpecPushResp { msg, .. } => Some((msg.sender, msg.receiver)),
+                Event::Deliver(msg, _)
+                | Event::SpecPush(msg, _)
+                | Event::SpecPushResp { msg, .. } => Some((msg.sender, msg.receiver)),
                 _ => None,
             })
         });
@@ -872,9 +504,9 @@ impl ConcurrentMachine {
     /// Propagates protocol errors and invariant violations, exactly as
     /// the unforced scheduler would.
     pub fn step_rank(&mut self, rank: usize) -> Result<bool, SimError> {
-        match self.queue.remove_rank(rank) {
+        match self.core.sched.queue.remove_rank(rank) {
             Some((t, ev)) => {
-                self.dispatch(t, ev)?;
+                self.core.dispatch(t, ev)?;
                 Ok(true)
             }
             None => Ok(false),
@@ -894,19 +526,20 @@ impl ConcurrentMachine {
 
     /// Directory transactions currently in flight.
     pub fn open_transactions(&self) -> usize {
-        self.txns.len()
+        self.core.txns.len()
     }
 
     /// Blocks with an open directory transaction, ascending.
     pub fn open_transaction_blocks(&self) -> Vec<BlockAddr> {
-        let mut blocks: Vec<BlockAddr> = self.txns.keys().copied().collect();
+        let mut blocks: Vec<BlockAddr> = self.core.txns.keys().copied().collect();
         blocks.sort_by_key(|b| b.number());
         blocks
     }
 
     /// Nodes blocked on an outstanding miss, with the block each waits on.
     pub fn waiting_nodes(&self) -> Vec<(NodeId, BlockAddr)> {
-        self.waiting
+        self.core
+            .waiting
             .iter()
             .enumerate()
             .filter_map(|(i, w)| w.map(|(b, _, _)| (NodeId::new(i), b)))
@@ -915,10 +548,7 @@ impl ConcurrentMachine {
 
     /// Every block any cache or directory entry has touched, ascending.
     pub fn touched_blocks(&self) -> Vec<BlockAddr> {
-        let mut blocks: HashSet<BlockAddr> = self.dirs.keys().copied().collect();
-        for c in &self.caches {
-            blocks.extend(c.keys().copied());
-        }
+        let blocks: HashSet<BlockAddr> = self.core.touched_blocks().collect();
         let mut blocks: Vec<BlockAddr> = blocks.into_iter().collect();
         blocks.sort_by_key(|b| b.number());
         blocks
@@ -929,31 +559,18 @@ impl ConcurrentMachine {
     /// directory entry itself, so they are derived from it here, the same
     /// picture [`verify_coherence`](Self::verify_coherence) audits.
     pub fn cache_states_for(&self, block: BlockAddr) -> Vec<CacheState> {
-        let home = home_of_block(block, &self.proto);
-        let dir = self.dirs.get(&block).cloned().unwrap_or_default();
-        (0..self.proto.nodes)
-            .map(|i| {
-                let n = NodeId::new(i);
-                if n == home {
-                    if dir.node_writable(n) {
-                        CacheState::Exclusive
-                    } else if dir.node_readable(n) {
-                        CacheState::Shared
-                    } else {
-                        CacheState::Invalid
-                    }
-                } else {
-                    self.cache_state(n, block)
-                }
-            })
-            .collect()
+        let dir = self.core.dir_state(block);
+        protocol::effective_states(block, &self.core.proto, &dir, |n| {
+            self.core.cache_state(n, block)
+        })
     }
 
     /// Each node's duplicate-filter low-water mark (all zero on a perfect
     /// fabric) — monotone by construction, which simcheck re-checks per
     /// step as the recovery-sequence invariant.
     pub fn dedup_watermarks(&self) -> Vec<u64> {
-        self.dedup.iter().map(DedupFilter::low_watermark).collect()
+        let dedup = &self.layers().dedup;
+        dedup.iter().map(DedupFilter::low_watermark).collect()
     }
 
     /// A canonical fingerprint of the global *protocol* state: caches,
@@ -961,18 +578,18 @@ impl ConcurrentMachine {
     /// blocked processors, and the multiset of in-flight events.
     ///
     /// Deliberately timing-abstracted: node clocks, event timestamps,
-    /// handler-occupancy horizons, the value oracle's stamps, and
-    /// monotone bookkeeping counters (miss/transaction epochs) are all
-    /// excluded, so two delivery schedules that produce the same protocol
-    /// picture hash equally. That is the equivalence [`crate::simcheck`]
-    /// prunes on — it explores delivery *orders*, which timestamps do not
-    /// constrain under forced stepping. Dedup-filter and
-    /// sequence-counter state is included only under fault injection,
-    /// where it influences delivery decisions.
+    /// handler-occupancy horizons, and monotone bookkeeping counters
+    /// (miss/transaction epochs) are all excluded, so two delivery
+    /// schedules that produce the same protocol picture hash equally.
+    /// That is the equivalence [`crate::simcheck`] prunes on — it explores
+    /// delivery *orders*, which timestamps do not constrain under forced
+    /// stepping. Dedup-filter and sequence-counter state is included only
+    /// under fault injection, where it influences delivery decisions.
     pub fn state_fingerprint(&self) -> u64 {
+        let core = &self.core;
         let mut fp = Fp::new();
         fp.tag(0x01);
-        for (i, c) in self.caches.iter().enumerate() {
+        for (i, c) in core.caches.iter().enumerate() {
             let mut blocks: Vec<(BlockAddr, CacheState)> =
                 c.iter().map(|(b, s)| (*b, *s)).collect();
             blocks.sort_by_key(|(b, _)| b.number());
@@ -984,14 +601,14 @@ impl ConcurrentMachine {
             }
         }
         fp.tag(0x02);
-        let mut dirs: Vec<(&BlockAddr, &DirState)> = self.dirs.iter().collect();
+        let mut dirs: Vec<(&BlockAddr, &DirState)> = core.dirs.iter().collect();
         dirs.sort_by_key(|(b, _)| b.number());
         for (b, d) in dirs {
             fp.absorb(b);
             fp.absorb(d);
         }
         fp.tag(0x03);
-        let mut txns: Vec<(&BlockAddr, &DirTxn)> = self.txns.iter().collect();
+        let mut txns: Vec<_> = core.txns.iter().collect();
         txns.sort_by_key(|(b, _)| b.number());
         for (b, txn) in txns {
             fp.absorb(b);
@@ -1015,7 +632,7 @@ impl ConcurrentMachine {
             }
         }
         fp.tag(0x04);
-        let mut pending: Vec<(&BlockAddr, &VecDeque<PendingReq>)> = self.pending.iter().collect();
+        let mut pending: Vec<_> = core.pending.iter().collect();
         pending.sort_by_key(|(b, _)| b.number());
         for (b, q) in pending {
             if q.is_empty() {
@@ -1023,12 +640,12 @@ impl ConcurrentMachine {
             }
             fp.absorb(b);
             fp.word(q.len() as u64);
-            for r in q {
-                fp.absorb(&r.msg);
+            for id in q {
+                fp.absorb(&core.preqs.get(*id).expect("queued request live").msg);
             }
         }
         fp.tag(0x05);
-        for w in &self.waiting {
+        for w in &core.waiting {
             match w {
                 Some((b, op, _issued)) => {
                     fp.tag(1);
@@ -1039,7 +656,7 @@ impl ConcurrentMachine {
             }
         }
         fp.tag(0x06);
-        for s in &self.scripts {
+        for s in &core.scripts {
             fp.word(s.len() as u64);
             for (b, op) in s {
                 fp.absorb(b);
@@ -1047,1293 +664,54 @@ impl ConcurrentMachine {
             }
         }
         fp.tag(0x07);
-        let mut overflowed: Vec<BlockAddr> = self.overflowed.iter().copied().collect();
+        let mut overflowed: Vec<BlockAddr> = core.overflowed.iter().copied().collect();
         overflowed.sort_by_key(|b| b.number());
         for b in overflowed {
             fp.absorb(&b);
         }
         fp.tag(0x08);
-        let mut events: Vec<u64> = Vec::with_capacity(self.queue.len());
-        self.queue
+        let mut events: Vec<u64> = Vec::with_capacity(self.pending_events());
+        core.sched
+            .queue
             .for_each_ranked(|_, ev| events.push(ev.fingerprint()));
         events.sort_unstable();
         fp.word(events.len() as u64);
         for e in events {
             fp.word(e);
         }
-        if self.fault.is_some() {
+        let layers = self.layers();
+        if layers.fault.is_some() {
             fp.tag(0x09);
-            for d in &self.dedup {
+            for d in &layers.dedup {
                 fp.word(d.low_watermark());
                 fp.word(d.pending() as u64);
             }
-            for s in &self.next_seq_to {
+            for s in &layers.next_seq_to {
                 fp.word(*s);
             }
-            for p in &self.grant_poison {
+            for p in &layers.grant_poison {
                 fp.word(*p);
             }
         }
         fp.finish()
     }
 
-    /// A NAK reached the requester: its cache handler turns it straight
-    /// around into a fresh copy of the outstanding request.
-    fn on_nak(&mut self, node: NodeId, block: BlockAddr, t: u64) {
-        self.recovery.naks_received += 1;
-        // Only react if the node is still waiting on the NAKed block; a
-        // NAK for an already-completed miss is stale.
-        if self.waiting[node.index()].is_some_and(|(b, _, _)| b == block) {
-            self.miss_recovered[node.index()] = true;
-            self.spans.child(
-                self.miss_trace[node.index()],
-                "nak.turnaround",
-                SpanKind::Retry,
-                t,
-                t + self.sys.handler_ns,
-                node.raw(),
-            );
-            self.resend_request(node, t + self.sys.handler_ns);
-        }
-    }
-
-    /// A requester's retransmission timer fired.
-    fn on_retry_check(
-        &mut self,
-        node: NodeId,
-        epoch: u64,
-        attempt: u32,
-        t: u64,
-    ) -> Result<(), SimError> {
-        if self.miss_epoch[node.index()] != epoch || self.waiting[node.index()].is_none() {
-            return Ok(()); // lazily cancelled: the miss completed
-        }
-        self.recovery.timeouts += 1;
-        self.miss_recovered[node.index()] = true;
-        let retry = self
-            .fault
-            .as_ref()
-            .expect("timers are only armed under fault injection")
-            .retry()
-            .clone();
-        if !retry.can_retry(attempt) {
-            let (block, _, _) = self.waiting[node.index()].expect("checked above");
-            return Err(SimError::RetryExhausted {
-                from: node,
-                to: home_of_block(block, &self.proto),
-                attempts: attempt + 1,
-            });
-        }
-        self.recovery.retries += 1;
-        self.spans.child(
-            self.miss_trace[node.index()],
-            "retry",
-            SpanKind::Retry,
-            t.saturating_sub(retry.timeout_for(attempt)),
-            t,
-            node.raw(),
-        );
-        self.resend_request(node, t);
-        self.arm_retry(node, t, attempt + 1);
-        Ok(())
-    }
-
-    /// A directory's acknowledgment timer fired: re-send the
-    /// invalidations whose acks are still missing.
-    fn on_ack_check(
-        &mut self,
-        block: BlockAddr,
-        epoch: u64,
-        attempt: u32,
-        t: u64,
-    ) -> Result<(), SimError> {
-        let Some(txn) = self.txns.get(&block) else {
-            return Ok(()); // lazily cancelled: the transaction finished
-        };
-        if txn.epoch != epoch || txn.outstanding == 0 {
-            return Ok(());
-        }
-        self.recovery.timeouts += 1;
-        let retry = self
-            .fault
-            .as_ref()
-            .expect("timers are only armed under fault injection")
-            .retry()
-            .clone();
-        let home = home_of_block(block, &self.proto);
-        let unacked: Vec<(NodeId, MsgType)> = txn
-            .holders
-            .iter()
-            .filter(|(n, _)| !txn.acked.contains(n))
-            .copied()
-            .collect();
-        if !retry.can_retry(attempt) {
-            return Err(SimError::RetryExhausted {
-                from: home,
-                to: unacked.first().map_or(home, |&(n, _)| n),
-                attempts: attempt + 1,
-            });
-        }
-        let tr = self.txns.get(&block).map_or(TraceId::NONE, |x| x.trace);
-        self.spans.child(
-            tr,
-            "retry.ack",
-            SpanKind::Retry,
-            t.saturating_sub(retry.timeout_for(attempt)),
-            t,
-            home.raw(),
-        );
-        for (target, imsg) in unacked {
-            self.recovery.retries += 1;
-            self.send(t, Msg::new(home, target, block, imsg).with_trace(tr));
-        }
-        self.queue.push(
-            t + retry.timeout_for(attempt + 1),
-            Event::AckCheck {
-                block,
-                epoch,
-                attempt: attempt + 1,
-            },
-        );
-        Ok(())
-    }
-
     /// Barrier: quiescent by construction (the queue drained); audits the
     /// invariants and synchronises clocks.
     fn barrier(&mut self) -> Result<(), SimError> {
-        debug_assert!(self.txns.is_empty(), "transactions drained at barrier");
+        debug_assert!(self.core.txns.is_empty(), "transactions drained at barrier");
         self.verify_coherence()?;
         // Quiescent: every transaction's root span must have closed. A
         // leftover open span is a bug — flag it rather than losing it.
-        if self.spans.is_enabled() {
+        if self.layers().spans.is_enabled() {
             self.flag_orphaned_spans();
         }
-        let max = self.clocks.iter().copied().max().unwrap_or(0);
-        for c in &mut self.clocks {
-            *c = max + self.sys.barrier_ns;
+        let max = self.execution_time_ns();
+        for c in &mut self.core.clocks {
+            *c = max + self.core.sys.barrier_ns;
         }
-        self.stats.barriers += 1;
+        self.core.stats.barriers += 1;
         Ok(())
-    }
-
-    fn on_issue(&mut self, node: NodeId, t: u64) -> Result<(), SimError> {
-        let mut now = self.clocks[node.index()].max(t);
-        // Burn through hits; stop at the first miss or end of script.
-        while let Some(&(block, op)) = self.scripts[node.index()].front() {
-            let home = home_of_block(block, &self.proto);
-            if node == home {
-                // The home's rights live in the directory entry; a local
-                // access misses only if the entry needs changing, and that
-                // change is itself a (possibly queued) transaction.
-                let dir = self.dirs.entry(block).or_default().clone();
-                let sufficient = match op {
-                    ProcOp::Read => dir.node_readable(node),
-                    ProcOp::Write => dir.node_writable(node),
-                } && !self.txns.contains_key(&block);
-                if sufficient {
-                    self.scripts[node.index()].pop_front();
-                    self.stats.count_access(op, true, self.sys.cache_hit_ns);
-                    if op == ProcOp::Write {
-                        self.commit_write(node, block, true);
-                    }
-                    now += self.sys.cache_hit_ns;
-                    continue;
-                }
-                // Local miss: a directory transaction with no messages to
-                // or from the requester. Queue it like a remote request.
-                self.scripts[node.index()].pop_front();
-                self.waiting[node.index()] = Some((block, op, now));
-                self.clocks[node.index()] = now;
-                let req = match op {
-                    ProcOp::Read => MsgType::GetRoRequest,
-                    ProcOp::Write => MsgType::GetRwRequest,
-                };
-                let tr = self.spans.begin_trace(
-                    match op {
-                        ProcOp::Read => "local_read",
-                        ProcOp::Write => "local_write",
-                    },
-                    now,
-                    node.raw(),
-                    block.number(),
-                );
-                self.miss_trace[node.index()] = tr;
-                let marker = Msg::new(node, node, block, req).with_trace(tr);
-                self.enqueue_or_start(marker, now)?;
-                return Ok(());
-            }
-            let state = self.cache_state(node, block);
-            let (transient, action) = cache::on_processor_op(state, op)?;
-            match action {
-                CacheAction::Hit => {
-                    self.scripts[node.index()].pop_front();
-                    self.stats.count_access(op, true, self.sys.cache_hit_ns);
-                    if op == ProcOp::Write {
-                        self.commit_write(node, block, false);
-                        now += self.sys.cache_hit_ns;
-                        self.maybe_self_invalidate(node, block, now);
-                        continue;
-                    }
-                    now += self.sys.cache_hit_ns;
-                    self.maybe_early_ack(node, block, now);
-                }
-                CacheAction::Send(req) => {
-                    self.scripts[node.index()].pop_front();
-                    self.set_cache_state(node, block, transient);
-                    self.waiting[node.index()] = Some((block, op, now));
-                    self.clocks[node.index()] = now;
-                    let tr =
-                        self.spans
-                            .begin_trace(req.paper_name(), now, node.raw(), block.number());
-                    self.miss_trace[node.index()] = tr;
-                    self.send(now, Msg::new(node, home, block, req).with_trace(tr));
-                    self.arm_retry(node, now, 0);
-                    return Ok(());
-                }
-            }
-        }
-        self.clocks[node.index()] = now;
-        Ok(())
-    }
-
-    fn on_deliver(&mut self, msg: &Msg, seq: u64, t: u64) -> Result<(), SimError> {
-        if msg.receiver_role() == stache::Role::Directory {
-            self.on_directory_receive(msg, t)
-        } else {
-            self.on_cache_receive(msg, seq, t)
-        }
-    }
-
-    fn on_directory_receive(&mut self, msg: &Msg, t: u64) -> Result<(), SimError> {
-        if msg.mtype.is_request() {
-            // Local markers (sender == receiver) are not real messages.
-            if msg.sender != msg.receiver {
-                self.record(t, msg);
-                if self.fault.is_some() {
-                    // A retransmission that lost the race with its own
-                    // grant: the sender already consumed a response (it
-                    // is no longer missing on this block with this op),
-                    // so servicing the copy again would re-admit a
-                    // holder that may since have dropped the line —
-                    // e.g. by a voluntary early ack. Absorb it; the
-                    // NAK path uses the same still-waiting test.
-                    if self.request_is_stale(msg) {
-                        self.recovery.dups_absorbed += 1;
-                        return Ok(());
-                    }
-                    if self.fault_request_shortcut(msg, t) {
-                        return Ok(());
-                    }
-                }
-            }
-            self.enqueue_or_start(*msg, t)
-        } else {
-            // An acknowledgment — for the in-flight transaction if one
-            // exists, else a *voluntary* writeback (self-invalidation).
-            self.record(t, msg);
-            if matches!(
-                msg.mtype,
-                MsgType::InvalRwResponse | MsgType::DowngradeResponse
-            ) {
-                if let Some(v) = self.cache_values[msg.sender.index()]
-                    .get(&msg.block)
-                    .copied()
-                {
-                    self.mem_values.insert(msg.block, v);
-                }
-            }
-            if self.cache_state(msg.sender, msg.block) == CacheState::Invalid {
-                self.cache_values[msg.sender.index()].remove(&msg.block);
-            }
-            match self.txns.get_mut(&msg.block) {
-                Some(txn) => {
-                    // In the replacement race the voluntary writeback
-                    // doubles as the owner's acknowledgment; the crossing
-                    // invalidation finds an empty cache and is suppressed
-                    // there, so the counts stay exact. Under fault
-                    // injection the same holder can acknowledge more than
-                    // once (a re-sent invalidation crossing the original
-                    // ack); the per-transaction set keeps counting exact.
-                    // A delayed ack can also belong to an *earlier*,
-                    // already-finished transaction on the same block, so
-                    // it only counts here if (a) this transaction asked
-                    // the sender for exactly this response and (b) the
-                    // sender's cache really gave up the conflicting copy.
-                    // Genuine acks always pass (b): a holder cannot
-                    // re-acquire while the block is busy, because its
-                    // request would be NAKed. With a speculation policy
-                    // installed the same double-count exists on a perfect
-                    // fabric — a sharer's voluntary early ack crossing the
-                    // transaction's solicited invalidation produces two
-                    // acks from one holder — so the guards engage then too.
-                    // A voluntary ack from a push target crossing the
-                    // push verdict on the reliable channel: the target
-                    // installed the pushed copy and dropped it again
-                    // (early ack or self-invalidation) before the home
-                    // committed. Cancel the provisional entry — the
-                    // in-flight verdict still closes the transaction —
-                    // unless the sender still holds a copy, in which
-                    // case the ack is a stale fault-mode re-ack and is
-                    // absorbed below like any other unexpected one.
-                    let from_push_target = txn.speculative && msg.sender == txn.requester;
-                    if from_push_target
-                        && matches!(
-                            msg.mtype,
-                            MsgType::InvalRoResponse | MsgType::InvalRwResponse
-                        )
-                        && !matches!(
-                            self.cache_state(msg.sender, msg.block),
-                            CacheState::Shared | CacheState::Exclusive
-                        )
-                    {
-                        if self.mutation == ProtocolMutation::SpeculateWithoutRollback {
-                            // Seeded bug: drop the crossing ack too —
-                            // the mutation models a build with no
-                            // rollback healing at all (see its doc).
-                            return Ok(());
-                        }
-                        let txn = self.txns.get_mut(&msg.block).expect("checked above");
-                        txn.next = DirState::Idle;
-                        self.rollback.rolled_back += 1;
-                        return Ok(());
-                    }
-                    let txn = self.txns.get_mut(&msg.block).expect("checked above");
-                    if self.fault.is_some() || self.policy.is_some() {
-                        let expected = txn.holders.iter().any(|&(h, req)| {
-                            h == msg.sender
-                                && matches!(
-                                    (req, msg.mtype),
-                                    (MsgType::InvalRoRequest, MsgType::InvalRoResponse)
-                                        | (MsgType::InvalRwRequest, MsgType::InvalRwResponse)
-                                        | (MsgType::DowngradeRequest, MsgType::DowngradeResponse)
-                                )
-                        });
-                        let complied = match msg.mtype {
-                            MsgType::InvalRoResponse | MsgType::InvalRwResponse => !matches!(
-                                self.cache_state(msg.sender, msg.block),
-                                CacheState::Shared | CacheState::Exclusive
-                            ),
-                            MsgType::DowngradeResponse => {
-                                self.cache_state(msg.sender, msg.block) != CacheState::Exclusive
-                            }
-                            _ => true,
-                        };
-                        if !expected || !complied {
-                            if self.fault.is_some() {
-                                self.recovery.dups_absorbed += 1;
-                            }
-                            return Ok(());
-                        }
-                    }
-                    let policing = self.fault.is_some() || self.policy.is_some();
-                    let txn = self.txns.get_mut(&msg.block).expect("checked above");
-                    if policing && !txn.acked.insert(msg.sender) {
-                        if self.fault.is_some() {
-                            self.recovery.dups_absorbed += 1;
-                        }
-                        return Ok(());
-                    }
-                    txn.outstanding -= 1;
-                    if txn.outstanding == 0 {
-                        let service = t + self.sys.handler_ns;
-                        self.finish_txn(msg.block, service)?;
-                    }
-                }
-                None => {
-                    // A voluntary early invalidation-ack (speculation):
-                    // the sharer dropped its read-only copy unsolicited.
-                    // The sender's live cache state separates it from a
-                    // stale solicited ack racing a freshly re-acquired
-                    // copy, which must leave the entry alone. A genuine
-                    // ack's sender holds no read copy: `Invalid`, or
-                    // already off in its next *write* miss on the same
-                    // block (`IToE` — the drop and the follow-up miss
-                    // issue in the same handler slot, so the ack lands
-                    // "late"). `IToS` is excluded: a sharer with a
-                    // shared re-fill in flight is `IToS`, and removing
-                    // it would desynchronise the map; the demand path
-                    // reconciles that case (see `start_txn`).
-                    if self.policy.is_some() && msg.mtype == MsgType::InvalRoResponse {
-                        if matches!(
-                            self.cache_state(msg.sender, msg.block),
-                            CacheState::Invalid | CacheState::IToE
-                        ) {
-                            let dir = self.dirs.entry(msg.block).or_default().clone();
-                            if let DirState::Shared(mut s) = dir {
-                                if s.contains(msg.sender) && !self.overflowed.contains(&msg.block) {
-                                    s.remove(msg.sender);
-                                    let next = if s.is_empty() {
-                                        DirState::Idle
-                                    } else {
-                                        DirState::Shared(s)
-                                    };
-                                    let idle = next == DirState::Idle;
-                                    self.set_dir(msg.block, next);
-                                    if idle {
-                                        self.maybe_spec_push(msg.block, t + self.sys.handler_ns);
-                                    }
-                                    return Ok(());
-                                }
-                            }
-                        }
-                        if self.fault.is_some() {
-                            self.recovery.dups_absorbed += 1;
-                        }
-                        return Ok(());
-                    }
-                    if self.fault.is_some()
-                        && (msg.mtype != MsgType::InvalRwResponse
-                            || self.cache_state(msg.sender, msg.block) != CacheState::Invalid)
-                    {
-                        // A stale re-acknowledgment for a transaction
-                        // that already finished — possibly racing the
-                        // sender's freshly re-acquired copy, which must
-                        // not clear the directory. Absorb it.
-                        self.recovery.dups_absorbed += 1;
-                        return Ok(());
-                    }
-                    debug_assert_eq!(msg.mtype, MsgType::InvalRwResponse, "voluntary writeback");
-                    let dir = self.dirs.entry(msg.block).or_default().clone();
-                    if dir.owner() == Some(msg.sender) {
-                        self.set_dir(msg.block, DirState::Idle);
-                        self.maybe_spec_push(msg.block, t + self.sys.handler_ns);
-                    }
-                    // Otherwise stale: a later transaction already moved
-                    // the entry on; nothing to do.
-                }
-            }
-            Ok(())
-        }
-    }
-
-    /// A waiting node just acknowledged an invalidation or recall for
-    /// the very block it is missing on: any grant transmitted *before*
-    /// that recall carries rights the directory has since reclaimed, so
-    /// raise the node's poison line to this delivery's sequence number.
-    /// Grants below the line are absorbed as stale; the miss recovers
-    /// through its retransmission timer. No-op unless the node is
-    /// waiting on `block` (the line is per-node, and poisoning across
-    /// an unrelated block's miss would discard a perfectly good grant).
-    fn poison_older_grants(&mut self, node: NodeId, block: BlockAddr, seq: u64) {
-        if self.waiting[node.index()].is_some_and(|(b, _, _)| b == block) {
-            let line = &mut self.grant_poison[node.index()];
-            *line = (*line).max(seq);
-        }
-    }
-
-    /// Whether a remote request is a stale retransmission: its sender is
-    /// no longer missing on this block with the matching operation, so
-    /// the original request was already serviced and its grant consumed.
-    fn request_is_stale(&self, msg: &Msg) -> bool {
-        !self.waiting[msg.sender.index()].is_some_and(|(b, op, _)| {
-            b == msg.block
-                && match msg.mtype {
-                    MsgType::GetRoRequest => op == ProcOp::Read,
-                    MsgType::GetRwRequest | MsgType::UpgradeRequest => op == ProcOp::Write,
-                    _ => true,
-                }
-        })
-    }
-
-    /// Fault-mode fast paths for a remote request: NAK it if the block
-    /// is busy (instead of queueing without bound), or re-send the grant
-    /// if the directory already recorded this requester — a
-    /// retransmission whose original grant was lost or is still in
-    /// flight. Returns `true` when the request was fully handled.
-    fn fault_request_shortcut(&mut self, msg: &Msg, t: u64) -> bool {
-        if self.txns.contains_key(&msg.block) {
-            self.recovery.naks_sent += 1;
-            let hop = self.one_way(msg.receiver, msg.sender);
-            self.stats.net_latency_ns.record(hop);
-            // The bounce (home handler + NAK hop) is pure retry overhead
-            // on the requester's critical path.
-            self.spans.child(
-                msg.trace,
-                "nak",
-                SpanKind::Retry,
-                t,
-                t + self.sys.handler_ns + hop,
-                msg.receiver.raw(),
-            );
-            self.queue.push(
-                t + self.sys.handler_ns + hop,
-                Event::Nak {
-                    node: msg.sender,
-                    block: msg.block,
-                },
-            );
-            return true;
-        }
-        let dir = self.dirs.entry(msg.block).or_default().clone();
-        let regrant = match msg.mtype {
-            // The re-sent grant must carry the *recorded* rights, not the
-            // requested ones: a speculative exclusive grant upgrades a
-            // read miss to ownership, so when its response is lost the
-            // retransmitted `get_ro_request` finds this node recorded as
-            // owner and must be re-granted writable — a shared re-grant
-            // would leave the directory claiming an owner whose cache
-            // holds a read-only copy.
-            MsgType::GetRoRequest if dir.node_writable(msg.sender) => Some(MsgType::GetRwResponse),
-            MsgType::GetRoRequest if dir.node_readable(msg.sender) => Some(MsgType::GetRoResponse),
-            MsgType::GetRwRequest if dir.node_writable(msg.sender) => Some(MsgType::GetRwResponse),
-            MsgType::UpgradeRequest if dir.node_writable(msg.sender) => {
-                Some(MsgType::UpgradeResponse)
-            }
-            _ => None,
-        };
-        match regrant {
-            Some(resp) => {
-                self.recovery.regrants += 1;
-                self.send(
-                    t + self.sys.handler_ns,
-                    Msg::new(msg.receiver, msg.sender, msg.block, resp).with_trace(msg.trace),
-                );
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Starts the transaction if the block is free, else queues it.
-    fn enqueue_or_start(&mut self, msg: Msg, t: u64) -> Result<(), SimError> {
-        if self.txns.contains_key(&msg.block) {
-            self.pending
-                .entry(msg.block)
-                .or_default()
-                .push_back(PendingReq { msg, arrived: t });
-            Ok(())
-        } else {
-            self.start_txn(msg, t)
-        }
-    }
-
-    fn start_txn(&mut self, msg: Msg, t: u64) -> Result<(), SimError> {
-        let home = msg.receiver;
-        let block = msg.block;
-        let local = msg.sender == msg.receiver;
-        let service = t.max(self.dir_busy[home.index()]);
-        let dispatch = service + self.sys.handler_ns;
-        self.dir_busy[home.index()] = dispatch;
-        if service > t {
-            self.spans.child(
-                msg.trace,
-                "dir.queue",
-                SpanKind::Queue,
-                t,
-                service,
-                home.raw(),
-            );
-        }
-        self.spans.child(
-            msg.trace,
-            "dir.service",
-            SpanKind::Directory,
-            service,
-            dispatch,
-            home.raw(),
-        );
-
-        let mut dir = self.dirs.entry(block).or_default().clone();
-        // Speculative voluntary drops race their own acknowledgments: a
-        // node that early-acked or self-invalidated and immediately
-        // missed again on the same block sends its demand request while
-        // the entry still lists it (the ack may have been left aside
-        // because the sender was already in its next transient state).
-        // The request itself proves the sender's copy is gone — a holder
-        // never demand-misses on a block it holds — so strip the sender
-        // before consulting the transition table.
-        if self.policy.is_some()
-            && self.mutation != ProtocolMutation::SpeculateWithoutRollback
-            && !local
-            && matches!(msg.mtype, MsgType::GetRoRequest | MsgType::GetRwRequest)
-            && !self.overflowed.contains(&block)
-        {
-            let stripped = match &dir {
-                DirState::Shared(s) if s.contains(msg.sender) => {
-                    let mut s = s.clone();
-                    s.remove(msg.sender);
-                    Some(if s.is_empty() {
-                        DirState::Idle
-                    } else {
-                        DirState::Shared(s)
-                    })
-                }
-                DirState::Exclusive(owner) if *owner == msg.sender => Some(DirState::Idle),
-                _ => None,
-            };
-            if let Some(next) = stripped {
-                self.set_dir(block, next.clone());
-                dir = next;
-            }
-        }
-        // The upgrade race: the requester lost its copy to a concurrent
-        // writer while this request was queued; convert to a write miss.
-        let mut effective = msg.mtype;
-        let mut reply_override = None;
-        if effective == MsgType::UpgradeRequest && !dir.holders().contains(msg.sender) {
-            effective = MsgType::GetRwRequest;
-            reply_override = Some(MsgType::GetRwResponse);
-        }
-        // §4.1 read-modify-write speculation: answer a remote shared
-        // request with an exclusive grant if the policy predicts an
-        // imminent upgrade.
-        if !local && effective == MsgType::GetRoRequest {
-            let grant = self
-                .policy
-                .as_mut()
-                .is_some_and(|p| p.grant_exclusive(home, msg.sender, block));
-            if grant {
-                effective = MsgType::GetRwRequest;
-                reply_override = Some(MsgType::GetRwResponse);
-                self.stats.exclusive_grants += 1;
-                self.ring.get_mut().push(
-                    ObsEvent::new(dispatch, Severity::Info, "policy.grant_exclusive")
-                        .node(msg.sender.raw())
-                        .block(block.number()),
-                );
-                self.spans.annotate(msg.trace, "speculative_grant");
-            }
-        }
-        let outcome = if local {
-            let op = match effective {
-                MsgType::GetRoRequest => ProcOp::Read,
-                MsgType::GetRwRequest | MsgType::UpgradeRequest => ProcOp::Write,
-                other => unreachable!("local marker {other}"),
-            };
-            match directory::handle_local(&dir, home, op, &self.proto) {
-                Some(o) => o,
-                None => {
-                    // Rights appeared while the request was queued.
-                    self.dir_busy[home.index()] = service; // handler unused
-                    return self.complete_local(home, block, dispatch);
-                }
-            }
-        } else {
-            directory::handle_request(&dir, home, msg.sender, effective, &self.proto)
-                .map_err(SimError::Protocol)?
-        };
-        let mut holder_requests = outcome.holder_requests;
-        if self.overflowed.contains(&block) && matches!(outcome.next, DirState::Exclusive(_)) {
-            holder_requests = (0..self.proto.nodes)
-                .map(NodeId::new)
-                .filter(|&n| n != msg.sender && n != home)
-                .map(|n| (n, MsgType::InvalRoRequest))
-                .collect();
-        }
-        let reply = if local {
-            None
-        } else {
-            Some(reply_override.unwrap_or_else(|| outcome.reply.expect("remote grants reply")))
-        };
-        self.txn_epoch += 1;
-        let txn = DirTxn {
-            requester: msg.sender,
-            reply,
-            next: outcome.next,
-            outstanding: holder_requests.len(),
-            local,
-            holders: holder_requests.clone(),
-            acked: HashSet::new(),
-            epoch: self.txn_epoch,
-            speculative: false,
-            trace: msg.trace,
-        };
-        let epoch = txn.epoch;
-        for (target, imsg) in &holder_requests {
-            self.send(
-                dispatch,
-                Msg::new(home, *target, block, *imsg).with_trace(msg.trace),
-            );
-        }
-        self.txns.insert(block, txn);
-        if holder_requests.is_empty() {
-            self.finish_txn(block, dispatch)?;
-        } else if let Some(inj) = &self.fault {
-            // The directory waits for acknowledgments that a faulty
-            // fabric may eat: arm its re-send timer.
-            let timeout = inj.retry().timeout_for(0);
-            self.queue.push(
-                dispatch + timeout,
-                Event::AckCheck {
-                    block,
-                    epoch,
-                    attempt: 0,
-                },
-            );
-        }
-        Ok(())
-    }
-
-    fn finish_txn(&mut self, block: BlockAddr, t: u64) -> Result<(), SimError> {
-        let txn = self.txns.remove(&block).expect("transaction in flight");
-        let home = home_of_block(block, &self.proto);
-        self.set_dir(block, txn.next);
-        if txn.local {
-            self.complete_local(home, block, t)?;
-        } else if let Some(reply) = txn.reply {
-            self.send(
-                t,
-                Msg::new(home, txn.requester, block, reply).with_trace(txn.trace),
-            );
-        }
-        // (A speculative push transaction has no reply: the target was
-        // granted — or refused — the copy by the push itself.)
-        // The block is free: service the next queued request, if any.
-        if let Some(next) = self.pending.get_mut(&block).and_then(VecDeque::pop_front) {
-            let resume = next.arrived.max(t);
-            if resume > next.arrived {
-                // Time spent queued behind the previous transaction.
-                self.spans.child(
-                    next.msg.trace,
-                    "dir.pending",
-                    SpanKind::Queue,
-                    next.arrived,
-                    resume,
-                    home.raw(),
-                );
-            }
-            self.start_txn(next.msg, resume)?;
-        }
-        Ok(())
-    }
-
-    /// Completes the home node's own (message-free) access.
-    fn complete_local(&mut self, home: NodeId, block: BlockAddr, t: u64) -> Result<(), SimError> {
-        let (wblock, op, issued) = self.waiting[home.index()].take().expect("home was waiting");
-        debug_assert_eq!(wblock, block);
-        self.miss_epoch[home.index()] += 1;
-        self.miss_recovered[home.index()] = false;
-        let done = t + self.sys.mem_access_ns;
-        self.clocks[home.index()] = self.clocks[home.index()].max(done);
-        self.stats
-            .count_access(op, false, done.saturating_sub(issued));
-        if op == ProcOp::Write {
-            self.commit_write(home, block, true);
-        }
-        let tr = self.miss_trace[home.index()];
-        self.spans
-            .child(tr, "mem.access", SpanKind::Directory, t, done, home.raw());
-        self.spans.end_trace(tr, done);
-        self.miss_trace[home.index()] = TraceId::NONE;
-        self.queue.push(done, Event::Issue(home));
-        Ok(())
-    }
-
-    fn on_cache_receive(&mut self, msg: &Msg, seq: u64, t: u64) -> Result<(), SimError> {
-        self.record(t, msg);
-        let node = msg.receiver;
-        let block = msg.block;
-        let state = self.cache_state(node, block);
-        // The cache's software handler serialises incoming messages.
-        let service = t.max(self.cache_busy[node.index()]);
-        let handled = service + self.sys.handler_ns;
-        self.cache_busy[node.index()] = handled;
-        if service > t {
-            self.spans.child(
-                msg.trace,
-                "cache.queue",
-                SpanKind::Queue,
-                t,
-                service,
-                node.raw(),
-            );
-        }
-        self.spans.child(
-            msg.trace,
-            "cache.service",
-            SpanKind::Directory,
-            service,
-            handled,
-            node.raw(),
-        );
-
-        if self.fault.is_some() {
-            match msg.mtype {
-                // A grant the cache cannot consume: the original grant
-                // raced a retransmission and won, so this re-grant is
-                // stale — absorb it without touching the line.
-                MsgType::GetRoResponse | MsgType::GetRwResponse | MsgType::UpgradeResponse => {
-                    // A grant older than a recall this node already
-                    // acknowledged is poisoned: the directory reclaimed
-                    // the copy it carries (and may have granted it on),
-                    // so consuming it would mint a second owner. The
-                    // retransmission timer re-fetches with a fresh,
-                    // unpoisoned grant.
-                    let consumable = matches!(
-                        (state, msg.mtype),
-                        (CacheState::IToS, MsgType::GetRoResponse)
-                            | (CacheState::IToS, MsgType::GetRwResponse)
-                            | (CacheState::IToE, MsgType::GetRwResponse)
-                            | (CacheState::SToE, MsgType::UpgradeResponse)
-                    ) && self.waiting[node.index()]
-                        .is_some_and(|(b, _, _)| b == block)
-                        && seq >= self.grant_poison[node.index()];
-                    if !consumable {
-                        self.recovery.stale_grants_absorbed += 1;
-                        return Ok(());
-                    }
-                }
-                // An owner recall reaching a cache still waiting for its
-                // upgrade grant: the grant was issued (the directory
-                // moved to Exclusive before recalling) but is delayed or
-                // lost behind this recall. Yield the copy and fall back
-                // to a write miss — the retried request re-fetches
-                // exclusivity, and the stale upgrade grant, arriving at
-                // I-to-E, is absorbed above.
-                MsgType::InvalRwRequest if state == CacheState::SToE => {
-                    self.cache_values[node.index()].remove(&block);
-                    self.set_cache_state(node, block, CacheState::IToE);
-                    self.poison_older_grants(node, block, seq);
-                    self.send(
-                        handled,
-                        Msg::new(node, msg.sender, block, MsgType::InvalRwResponse)
-                            .with_trace(msg.trace),
-                    );
-                    return Ok(());
-                }
-                // A re-sent owner recall that was already applied (the
-                // original ack was lost or is still in flight): the
-                // now-empty cache acknowledges again so the directory's
-                // count can complete; the per-transaction acked set
-                // absorbs any double-count.
-                MsgType::InvalRwRequest
-                    if matches!(
-                        state,
-                        CacheState::Invalid | CacheState::IToS | CacheState::IToE
-                    ) =>
-                {
-                    self.poison_older_grants(node, block, seq);
-                    self.send(
-                        handled,
-                        Msg::new(node, msg.sender, block, MsgType::InvalRwResponse)
-                            .with_trace(msg.trace),
-                    );
-                    return Ok(());
-                }
-                // Likewise a re-sent downgrade finding the copy already
-                // downgraded (or gone).
-                MsgType::DowngradeRequest if state != CacheState::Exclusive => {
-                    self.send(
-                        handled,
-                        Msg::new(node, msg.sender, block, MsgType::DowngradeResponse)
-                            .with_trace(msg.trace),
-                    );
-                    return Ok(());
-                }
-                _ => {}
-            }
-        }
-
-        // The replacement race: an owner-recall crossing a voluntary
-        // writeback finds the cache already empty — or already missing
-        // again on a *new* request (I-to-S / I-to-E). In every stage the
-        // writeback (already on the wire, ordered before this recall's
-        // acknowledgment would be) serves as the acknowledgment, so stay
-        // silent. Only a voluntary writeback can make the directory's
-        // owner record stale, so this arm is unreachable without one.
-        if msg.mtype == MsgType::InvalRwRequest
-            && matches!(
-                state,
-                CacheState::Invalid | CacheState::IToS | CacheState::IToE
-            )
-        {
-            return Ok(());
-        }
-
-        // A broadcast invalidation reaching a node without a shared copy —
-        // either truly invalid or mid-fill (its own request for this block
-        // is queued behind the broadcasting write and will be serviced
-        // with fresh data afterwards): acknowledge without touching the
-        // line.
-        if msg.mtype == MsgType::InvalRoRequest
-            && matches!(
-                state,
-                CacheState::Invalid | CacheState::IToS | CacheState::IToE
-            )
-        {
-            if self.fault.is_some() {
-                self.poison_older_grants(node, block, seq);
-            }
-            let home = msg.sender;
-            self.send(
-                handled,
-                Msg::new(node, home, block, MsgType::InvalRoResponse).with_trace(msg.trace),
-            );
-            return Ok(());
-        }
-
-        // A stale sharer-invalidation landing on a re-acquired exclusive
-        // copy: only possible with a speculation policy — the node's
-        // voluntary early ack satisfied the soliciting transaction (the
-        // home serialises transactions per block, so that transaction
-        // finished before any later grant), the node missed again and
-        // was granted ownership, and the superseded invalidation arrives
-        // last, delayed behind the cache's handler queue. Drop it: the
-        // copy is legitimate and the ack it asks for was already given.
-        if msg.mtype == MsgType::InvalRoRequest
-            && state == CacheState::Exclusive
-            && self.policy.is_some()
-        {
-            return Ok(());
-        }
-
-        // The seeded bug for simcheck self-validation: acknowledge the
-        // invalidation but keep the shared copy. The directory counts the
-        // ack, believes the sharer is gone, and grants the writer — SWMR
-        // breaks a few deliveries later.
-        if self.mutation == ProtocolMutation::AckWithoutInvalidate
-            && msg.mtype == MsgType::InvalRoRequest
-            && state == CacheState::Shared
-        {
-            self.send(
-                handled,
-                Msg::new(node, msg.sender, block, MsgType::InvalRoResponse).with_trace(msg.trace),
-            );
-            return Ok(());
-        }
-
-        let (next, reply) = cache::on_message(state, msg.mtype)?;
-        self.set_cache_state(node, block, next);
-        match reply {
-            Some(resp) => {
-                // An invalidation or downgrade: acknowledge to the home.
-                let home = msg.sender;
-                self.send(
-                    handled,
-                    Msg::new(node, home, block, resp).with_trace(msg.trace),
-                );
-            }
-            None => {
-                // A grant: the processor's miss completes.
-                let (wblock, op, issued) =
-                    self.waiting[node.index()].take().expect("node was waiting");
-                debug_assert_eq!(wblock, block);
-                // Lazily cancel any outstanding retransmission timers.
-                self.miss_epoch[node.index()] += 1;
-                if self.miss_recovered[node.index()] {
-                    self.miss_recovered[node.index()] = false;
-                    self.recovery
-                        .recovery_latency_ns
-                        .record(handled.saturating_sub(issued));
-                }
-                match msg.mtype {
-                    MsgType::GetRoResponse => {
-                        let v = self.mem_values.get(&block).copied().unwrap_or(0);
-                        self.cache_values[node.index()].insert(block, v);
-                    }
-                    MsgType::GetRwResponse | MsgType::UpgradeResponse => {
-                        self.commit_write(node, block, false);
-                    }
-                    other => unreachable!("grant {other}"),
-                }
-                let done = handled;
-                self.clocks[node.index()] = self.clocks[node.index()].max(done);
-                self.stats
-                    .count_access(op, false, done.saturating_sub(issued));
-                let tr = self.miss_trace[node.index()];
-                self.spans.end_trace(tr, done);
-                self.miss_trace[node.index()] = TraceId::NONE;
-                if op == ProcOp::Write {
-                    self.maybe_self_invalidate(node, block, done);
-                } else {
-                    self.maybe_early_ack(node, block, done);
-                }
-                self.queue.push(done, Event::Issue(node));
-            }
-        }
-        Ok(())
-    }
-
-    /// §4.1 dynamic self-invalidation: after a store, consult the policy
-    /// and, if it fires, push the exclusive copy back to the directory as
-    /// an unsolicited `inval_rw_response`. The cache empties immediately;
-    /// the race with a concurrent recall is resolved by the writeback
-    /// doubling as the acknowledgment (see `on_directory_receive`).
-    fn maybe_self_invalidate(&mut self, node: NodeId, block: BlockAddr, now: u64) {
-        let home = home_of_block(block, &self.proto);
-        if node == home || self.cache_state(node, block) != CacheState::Exclusive {
-            return;
-        }
-        let fire = self
-            .policy
-            .as_mut()
-            .is_some_and(|p| p.self_invalidate(node, block));
-        if !fire {
-            return;
-        }
-        // The data is committed to memory at send time: any fill granted
-        // after this writeback's arrival must see it, and the directory
-        // cannot grant before then (the entry still shows this owner, so
-        // any transaction waits for this message).
-        if let Some(v) = self.cache_values[node.index()].remove(&block) {
-            self.mem_values.insert(block, v);
-        }
-        self.set_cache_state(node, block, CacheState::Invalid);
-        self.ring.get_mut().push(
-            ObsEvent::new(now, Severity::Info, "policy.self_invalidate")
-                .node(node.raw())
-                .block(block.number()),
-        );
-        // Over the reliable channel: nothing times out waiting for a
-        // voluntary writeback, so the protocol could not recover its loss.
-        let tr = self
-            .spans
-            .begin_trace("self_invalidate", now, node.raw(), block.number());
-        self.spans.annotate(tr, "speculative");
-        self.send_reliable(
-            now,
-            Msg::new(node, home, block, MsgType::InvalRwResponse).with_trace(tr),
-        );
-        // The reliable channel always delivers after exactly one hop, so
-        // the writeback's arrival — and the trace's end — is known now.
-        self.spans.end_trace(tr, now + self.one_way(node, home));
-        self.stats.voluntary_replacements += 1;
-    }
-
-    /// Early invalidation-ack: after a load, consult the policy and, if
-    /// it predicts this was the reader's last use before an invalidation,
-    /// drop the shared copy and acknowledge unsolicited. A correct
-    /// prediction removes the sharer from the next writer's critical
-    /// path; a wrong one costs this reader a re-fetch — never coherence.
-    fn maybe_early_ack(&mut self, node: NodeId, block: BlockAddr, now: u64) {
-        let home = home_of_block(block, &self.proto);
-        // Overflowed blocks keep their (imprecise, broadcast-serviced)
-        // sharer sets intact.
-        if node == home
-            || self.cache_state(node, block) != CacheState::Shared
-            || self.overflowed.contains(&block)
-        {
-            return;
-        }
-        let fire = self
-            .policy
-            .as_mut()
-            .is_some_and(|p| p.early_inval_ack(node, block));
-        if !fire {
-            return;
-        }
-        self.cache_values[node.index()].remove(&block);
-        self.set_cache_state(node, block, CacheState::Invalid);
-        self.ring.get_mut().push(
-            ObsEvent::new(now, Severity::Info, "policy.early_inval_ack")
-                .node(node.raw())
-                .block(block.number()),
-        );
-        // Over the reliable channel, like the voluntary writeback:
-        // nothing times out waiting for an unsolicited ack.
-        let tr = self
-            .spans
-            .begin_trace("early_inval_ack", now, node.raw(), block.number());
-        self.spans.annotate(tr, "speculative");
-        self.send_reliable(
-            now,
-            Msg::new(node, home, block, MsgType::InvalRoResponse).with_trace(tr),
-        );
-        self.spans.end_trace(tr, now + self.one_way(node, home));
-        self.rollback.early_acks += 1;
-    }
-
-    /// Speculative push: when a block goes idle at its home, consult the
-    /// policy for the predicted next reader/writer and, if it names one,
-    /// open a speculative transaction and push an unsolicited copy. The
-    /// transaction occupies the block, so demand traffic serialises
-    /// behind the push exactly as behind any other transaction; the
-    /// target's verdict ([`Self::on_spec_push_resp`]) either confirms the
-    /// provisional directory entry or rolls it back to idle.
-    fn maybe_spec_push(&mut self, block: BlockAddr, t: u64) {
-        if self.policy.is_none()
-            || self.txns.contains_key(&block)
-            || self.pending.get(&block).is_some_and(|q| !q.is_empty())
-            || self.dirs.get(&block).cloned().unwrap_or_default() != DirState::Idle
-        {
-            return;
-        }
-        let home = home_of_block(block, &self.proto);
-        let Some((target, kind)) = self
-            .policy
-            .as_mut()
-            .and_then(|p| p.forward_candidate(home, block))
-        else {
-            return;
-        };
-        // The home's own rights live in the directory entry; pushing to
-        // an unknown node would be a policy bug, not a protocol race.
-        if target == home || target.index() >= self.proto.nodes {
-            return;
-        }
-        let (mtype, next) = match kind {
-            ForwardKind::Shared => (
-                MsgType::GetRoResponse,
-                DirState::Shared(NodeSet::singleton(target)),
-            ),
-            ForwardKind::Exclusive => (MsgType::GetRwResponse, DirState::Exclusive(target)),
-        };
-        let tr = self
-            .spans
-            .begin_trace("spec_push", t, home.raw(), block.number());
-        self.spans.annotate(tr, "speculative");
-        self.txn_epoch += 1;
-        self.txns.insert(
-            block,
-            DirTxn {
-                requester: target,
-                reply: None,
-                next,
-                outstanding: 1,
-                local: false,
-                holders: Vec::new(),
-                acked: HashSet::new(),
-                epoch: self.txn_epoch,
-                speculative: true,
-                trace: tr,
-            },
-        );
-        self.rollback.pushes += 1;
-        self.ring.get_mut().push(
-            ObsEvent::new(t, Severity::Info, "policy.forward")
-                .node(target.raw())
-                .block(block.number()),
-        );
-        self.send_spec_push(t, Msg::new(home, target, block, mtype).with_trace(tr));
-    }
-
-    /// Sends a push over the reliable control channel (sequence-numbered
-    /// under faults so the receiver's watermark stays dense, but never
-    /// dropped: the push transaction has no timer, so its loss would
-    /// wedge the block).
-    fn send_spec_push(&mut self, at: u64, msg: Msg) {
-        let hop = self.one_way(msg.sender, msg.receiver);
-        self.stats.net_latency_ns.record(hop);
-        let seq = if self.fault.is_some() {
-            let s = self.next_seq_to[msg.receiver.index()];
-            self.next_seq_to[msg.receiver.index()] += 1;
-            s
-        } else {
-            0
-        };
-        self.spans.child(
-            msg.trace,
-            "net.push",
-            SpanKind::Speculation,
-            at,
-            at + hop,
-            msg.sender.raw(),
-        );
-        self.queue.push(at + hop, Event::SpecPush(msg, seq));
-    }
-
-    /// Sends the target's verdict back to the home, reliably.
-    fn send_spec_resp(&mut self, at: u64, msg: Msg, accepted: bool) {
-        let hop = self.one_way(msg.sender, msg.receiver);
-        self.stats.net_latency_ns.record(hop);
-        let seq = if self.fault.is_some() {
-            let s = self.next_seq_to[msg.receiver.index()];
-            self.next_seq_to[msg.receiver.index()] += 1;
-            s
-        } else {
-            0
-        };
-        self.spans.child(
-            msg.trace,
-            "net.push_ack",
-            SpanKind::Speculation,
-            at,
-            at + hop,
-            msg.sender.raw(),
-        );
-        self.queue
-            .push(at + hop, Event::SpecPushResp { msg, accepted, seq });
-    }
-
-    /// A pushed copy arrived at its target. Accept only into an `Invalid`
-    /// line: any transient state means the target's own request is in
-    /// flight and the demand path must win the race (the push transaction
-    /// holds the block, so that request is queued or NAKed behind it and
-    /// will be serviced with authoritative data after the rollback).
-    fn on_spec_push(&mut self, msg: &Msg, t: u64) {
-        let node = msg.receiver;
-        let block = msg.block;
-        // The cache's software handler serialises pushes like any
-        // other incoming message.
-        let service = t.max(self.cache_busy[node.index()]);
-        let handled = service + self.sys.handler_ns;
-        self.cache_busy[node.index()] = handled;
-        let accepted = self.cache_state(node, block) == CacheState::Invalid;
-        if accepted {
-            let state = match msg.mtype {
-                MsgType::GetRoResponse => CacheState::Shared,
-                MsgType::GetRwResponse => CacheState::Exclusive,
-                other => unreachable!("push grant {other}"),
-            };
-            // The speculative transaction holds the block at the home,
-            // so memory cannot change while the push is in flight: the
-            // value read at send time is still the value now.
-            let v = self.mem_values.get(&block).copied().unwrap_or(0);
-            self.cache_values[node.index()].insert(block, v);
-            self.set_cache_state(node, block, state);
-            self.spans.child(
-                msg.trace,
-                "push.fill",
-                SpanKind::Speculation,
-                service,
-                handled,
-                node.raw(),
-            );
-        } else {
-            self.spans.child(
-                msg.trace,
-                "push.reject",
-                SpanKind::Speculation,
-                service,
-                handled,
-                node.raw(),
-            );
-        }
-        self.send_spec_resp(
-            handled,
-            Msg::new(node, msg.sender, block, msg.mtype).with_trace(msg.trace),
-            accepted,
-        );
-    }
-
-    /// The target's verdict came back: commit the provisional directory
-    /// entry, or roll it back to idle as if the push never happened. The
-    /// seeded [`ProtocolMutation::SpeculateWithoutRollback`] bug skips
-    /// the rollback, leaving the directory believing in a copy the
-    /// target never installed.
-    fn on_spec_push_resp(&mut self, msg: &Msg, accepted: bool, t: u64) -> Result<(), SimError> {
-        let block = msg.block;
-        let Some(txn) = self.txns.get_mut(&block) else {
-            // The reliable channel cannot lose the response, so the
-            // push transaction is always still open when it arrives.
-            debug_assert!(false, "push response without its transaction");
-            return Ok(());
-        };
-        debug_assert!(txn.speculative, "push response found a demand transaction");
-        txn.outstanding = 0;
-        let tr = txn.trace;
-        if accepted {
-            self.rollback.confirmed += 1;
-        } else if self.mutation == ProtocolMutation::SpeculateWithoutRollback {
-            // Seeded bug: keep the speculative entry despite the
-            // rejection (see the mutation's doc comment).
-        } else {
-            txn.next = DirState::Idle;
-            self.rollback.rolled_back += 1;
-        }
-        let service = t + self.sys.handler_ns;
-        self.finish_txn(block, service)?;
-        self.spans.end_trace(tr, service);
-        Ok(())
-    }
-
-    fn commit_write(&mut self, node: NodeId, block: BlockAddr, local: bool) {
-        self.next_stamp += 1;
-        if local {
-            self.mem_values.insert(block, self.next_stamp);
-        } else {
-            self.cache_values[node.index()].insert(block, self.next_stamp);
-        }
     }
 
     /// Audits the full-map/SWMR invariants for every touched block
@@ -2343,25 +721,13 @@ impl ConcurrentMachine {
     ///
     /// Returns the first violation found.
     pub fn verify_coherence(&self) -> Result<(), SimError> {
+        let mut ring = self.core.sched.ring.borrow_mut();
         for block in self.touched_blocks() {
-            let dir = self.dirs.get(&block).cloned().unwrap_or_default();
+            let dir = self.core.dir_state(block);
             let states = self.cache_states_for(block);
-            self.tally.count_invariant_check();
-            if let Err(v) = check_block(block, &dir, &states) {
-                self.tally.count_invariant_failure();
-                let mut ev = ObsEvent::new(
-                    self.execution_time_ns(),
-                    Severity::Error,
-                    "invariant.failure",
-                )
-                .block(block.number())
-                .msg(v.kind_name());
-                if let Some(n) = v.node() {
-                    ev = ev.node(n.raw());
-                }
-                self.ring.borrow_mut().push(ev);
-                return Err(SimError::from(v));
-            }
+            protocol::audit_block(block, &dir, &states, &self.core.tally, &mut ring, || {
+                self.execution_time_ns()
+            })?;
         }
         Ok(())
     }
@@ -2396,6 +762,7 @@ where
 mod tests {
     use super::*;
     use crate::driver::Access;
+    use stache::{MsgType, ProcOp};
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)

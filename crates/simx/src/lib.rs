@@ -45,6 +45,7 @@ pub mod event;
 pub mod fault;
 pub mod machine;
 pub mod network;
+mod protocol;
 pub mod rng;
 pub mod shard;
 pub mod simcheck;

@@ -35,58 +35,43 @@
 //! sequential engine's global push counter would impose. The result:
 //! traces, statistics, tallies, and obs snapshots are byte-identical
 //! for every shard count, including the `shards = 1` sequential
-//! fallback (see `crates/simx/tests/shard_identity.rs`).
+//! fallback (see `crates/workloads/tests/shard_identity.rs`).
 //!
-//! ## What this engine deliberately omits
+//! ## What this engine shares, and what it omits
 //!
-//! Fault injection, speculation policies, span tracing, the simcheck
-//! stepping surface, and the value oracle stay on the serialized
-//! engines — they are debugging/evaluation features of small
-//! configurations, and the first three mutate cross-shard state in
-//! ways that would serialise the windows anyway. (The value oracle is
-//! omitted because it is free of observable effects: it feeds no
-//! stat, trace, or fingerprint.) In particular the prediction-actioned
-//! speculation layer (early invalidation-acks, speculative pushes with
-//! rollback — see `crates/simx/src/concurrent.rs`) is serialized-only:
-//! there is no `set_policy` here, and the directory's no-transaction
-//! arm guards against its voluntary messages rather than handling
-//! them. Clean-fabric runs use only [`Issue`](SEvent::Issue) and
-//! [`Deliver`](SEvent::Deliver) events, which is all this engine
-//! implements.
+//! Each shard is the protocol core (`protocol.rs`) over its node range —
+//! the same handlers [`ConcurrentMachine`](crate::ConcurrentMachine)
+//! runs, scheduled here by a window instead of a global queue. What it
+//! omits are the concurrent engine's layers: fault injection and
+//! recovery, prediction-actioned speculation (early invalidation-acks,
+//! speculative pushes with rollback), span tracing and the simcheck
+//! stepping surface. They are debugging and evaluation features of small
+//! configurations, and their handlers read *other* nodes' state — a
+//! directory checking whether a requester still waits, or whether an
+//! acknowledger really dropped its copy — which a shard cannot see
+//! inside a window. There is no `set_policy` or `set_fault_plan` here, so
+//! the core's layer branches compile away and shards run the
+//! clean-fabric protocol only: `Issue` and `Deliver` events.
 
 use crate::arena::{Arena, ArenaId};
 use crate::config::SystemConfig;
-use crate::driver::{AccessOp, IterationPlan, Phase};
+use crate::driver::{IterationPlan, Phase};
 use crate::machine::SimError;
+use crate::protocol::{self, Core, Event, Sched};
 use crate::stats::MachineStats;
-use obs::{Event as ObsEvent, EventRing, Severity};
-use stache::cache::{self, CacheAction};
-use stache::directory;
-use stache::invariants::check_block;
+use obs::{Event as ObsEvent, EventRing};
 use stache::placement::home_of_block;
-use stache::{
-    BlockAddr, CacheState, DirState, Msg, MsgType, NodeId, ProcOp, ProtocolConfig, ProtocolTally,
-};
+use stache::{BlockAddr, CacheState, DirState, Msg, NodeId, ProtocolConfig, ProtocolTally};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashSet};
 use trace::{MsgRecord, TraceBundle, TraceMeta};
 
-/// A simulation event on the clean fabric.
-#[derive(Debug, Clone, Copy)]
-enum SEvent {
-    /// A processor attempts its next script operation.
-    Issue(NodeId),
-    /// A message is delivered to its receiver.
-    Deliver(Msg),
-}
-
-impl SEvent {
-    /// The node whose shard must execute this event.
-    fn owner(&self) -> NodeId {
-        match self {
-            SEvent::Issue(n) => *n,
-            SEvent::Deliver(m) => m.receiver,
-        }
+/// The node whose shard must execute an event.
+fn owner(ev: &Event) -> NodeId {
+    match ev {
+        Event::Issue(n) => *n,
+        Event::Deliver(m, _) => m.receiver,
+        other => unreachable!("a clean-fabric shard scheduled {other:?}"),
     }
 }
 
@@ -117,7 +102,7 @@ fn child_tie(parent_time: u64, parent: &Tie, index: u64) -> Tie {
 #[derive(Debug, Clone, Copy)]
 struct PushRec {
     time: u64,
-    ev: SEvent,
+    ev: Event,
     /// Executed within the same window (an intra-node follow-up), so the
     /// replay assigns it a sequence number but does not enqueue it.
     consumed: bool,
@@ -153,31 +138,10 @@ impl WindowLog {
     }
 }
 
-/// An in-flight directory transaction (clean-fabric subset of the
-/// concurrent engine's).
-#[derive(Debug, Clone)]
-struct STxn {
-    requester: NodeId,
-    reply: Option<MsgType>,
-    next: DirState,
-    outstanding: usize,
-    local: bool,
-}
-
-/// A request waiting for a busy block at its home directory.
-#[derive(Debug, Clone, Copy)]
-struct PendingReq {
-    msg: Msg,
-    arrived: u64,
-}
-
-/// One node-range partition of the machine.
+/// A shard's scheduler: its pending events and the window that runs
+/// them, logging every side effect for the coordinator's replay.
 #[derive(Debug)]
-struct Shard {
-    proto: ProtocolConfig,
-    sys: SystemConfig,
-    /// First owned node index; the shard owns `lo .. lo + clocks.len()`.
-    lo: usize,
+struct Window {
     /// Cross-window pending events, compact `(time, seq)` ranks only.
     queue: BinaryHeap<Reverse<(u64, u64, ArenaId)>>,
     /// The current window's working set, ranked by `(time, tie)`.
@@ -185,26 +149,10 @@ struct Shard {
     /// Backing storage for queued and in-window events: slots recycle
     /// through the free list, so steady-state execution allocates
     /// nothing per message.
-    events: Arena<SEvent>,
-    /// Waiting-room storage for requests queued behind a busy block.
-    preqs: Arena<PendingReq>,
-    // -- owned protocol state --
-    caches: Vec<HashMap<BlockAddr, CacheState>>,
-    dirs: HashMap<BlockAddr, DirState>,
-    txns: HashMap<BlockAddr, STxn>,
-    pending: HashMap<BlockAddr, VecDeque<ArenaId>>,
-    overflowed: HashSet<BlockAddr>,
-    dir_busy: Vec<u64>,
-    cache_busy: Vec<u64>,
-    clocks: Vec<u64>,
-    scripts: Vec<VecDeque<(BlockAddr, ProcOp)>>,
-    waiting: Vec<Option<(BlockAddr, ProcOp, u64)>>,
-    stats: MachineStats,
-    tally: ProtocolTally,
+    events: Arena<Event>,
     log: WindowLog,
     ring_enabled: bool,
     capture_trace: bool,
-    iteration: u32,
     // -- current-event context while a window runs --
     horizon: u64,
     cur_time: u64,
@@ -212,91 +160,28 @@ struct Shard {
     cur_children: u64,
 }
 
-impl Shard {
-    fn new(proto: ProtocolConfig, sys: SystemConfig, lo: usize, count: usize) -> Self {
-        Shard {
-            proto,
-            sys,
-            lo,
+impl Window {
+    fn new() -> Self {
+        Window {
             queue: BinaryHeap::new(),
             wheap: BinaryHeap::new(),
             events: Arena::new(),
-            preqs: Arena::new(),
-            caches: vec![HashMap::new(); count],
-            dirs: HashMap::new(),
-            txns: HashMap::new(),
-            pending: HashMap::new(),
-            overflowed: HashSet::new(),
-            dir_busy: vec![0; count],
-            cache_busy: vec![0; count],
-            clocks: vec![0; count],
-            scripts: vec![VecDeque::new(); count],
-            waiting: vec![None; count],
-            stats: MachineStats::default(),
-            tally: ProtocolTally::new(),
             log: WindowLog::default(),
             ring_enabled: true,
             capture_trace: true,
-            iteration: 0,
             horizon: 0,
             cur_time: 0,
             cur_tie: (0, Vec::new()),
             cur_children: 0,
         }
     }
+}
 
-    #[inline]
-    fn li(&self, node: NodeId) -> usize {
-        node.index() - self.lo
-    }
-
-    /// Earliest pending cross-window event time.
-    fn peek_time(&self) -> Option<u64> {
-        self.queue.peek().map(|Reverse((t, _, _))| *t)
-    }
-
-    /// Enqueues an event with its replay-assigned compact rank.
-    fn enqueue(&mut self, time: u64, seq: u64, ev: SEvent) {
-        let id = self.events.alloc(ev);
-        self.queue.push(Reverse((time, seq, id)));
-    }
-
-    /// Executes every owned event with `time < horizon`, appending all
-    /// side effects to the window log.
-    fn run_window(&mut self, horizon: u64) -> Result<(), SimError> {
-        self.horizon = horizon;
-        while let Some(&Reverse((t, _, _))) = self.queue.peek() {
-            if t >= horizon {
-                break;
-            }
-            let Reverse((t, seq, id)) = self.queue.pop().expect("peeked");
-            self.wheap.push(Reverse((t, (seq, Vec::new()), id)));
-        }
-        while let Some(Reverse((t, tie, id))) = self.wheap.pop() {
-            let ev = self.events.free(id).expect("live window event");
-            self.cur_time = t;
-            self.cur_tie = tie;
-            self.cur_children = 0;
-            match ev {
-                SEvent::Issue(n) => self.on_issue(n, t)?,
-                SEvent::Deliver(msg) => self.on_deliver(&msg, t)?,
-            }
-            let tie = std::mem::take(&mut self.cur_tie);
-            self.log.entries.push(LogEntry {
-                time: t,
-                tie,
-                push_end: self.log.pushes.len() as u32,
-                rec_end: self.log.recs.len() as u32,
-                ring_end: self.log.rings.len() as u32,
-            });
-        }
-        Ok(())
-    }
-
+impl Sched for Window {
     /// Logs a push made by the current event. Pushes landing inside the
     /// window are intra-node follow-ups: they join the window heap with
     /// a composite tie derived from the current event's rank.
-    fn push_event(&mut self, at: u64, ev: SEvent) {
+    fn push(&mut self, at: u64, ev: Event) {
         let consumed = at < self.horizon;
         self.log.pushes.push(PushRec {
             time: at,
@@ -304,10 +189,6 @@ impl Shard {
             consumed,
         });
         if consumed {
-            debug_assert!(
-                self.li(ev.owner()) < self.clocks.len(),
-                "intra-window pushes stay on the owning shard"
-            );
             let tie = child_tie(self.cur_time, &self.cur_tie, self.cur_children);
             self.cur_children += 1;
             let id = self.events.alloc(ev);
@@ -315,345 +196,79 @@ impl Shard {
         }
     }
 
-    fn one_way(&self, from: NodeId, to: NodeId) -> u64 {
-        self.sys.one_way_between_ns(from, to, self.proto.nodes)
-    }
-
-    fn send(&mut self, at: u64, msg: Msg) {
-        let hop = self.one_way(msg.sender, msg.receiver);
-        self.stats.net_latency_ns.record(hop);
-        self.push_event(at + hop, SEvent::Deliver(msg));
-    }
-
-    fn record(&mut self, time: u64, msg: &Msg) {
-        self.stats.count_message(msg.mtype);
-        if self.ring_enabled {
-            self.log.rings.push(
-                ObsEvent::new(time, Severity::Info, "msg.recv")
-                    .node(msg.receiver.raw())
-                    .block(msg.block.number())
-                    .msg(msg.mtype.paper_name())
-                    .value(msg.sender.raw() as u64),
-            );
-        }
+    fn capture(&mut self, time: u64, msg: &Msg, iteration: u32) {
         if self.capture_trace {
             self.log
                 .recs
-                .push(MsgRecord::from_msg(msg, time, self.iteration));
+                .push(MsgRecord::from_msg(msg, time, iteration));
         }
     }
 
-    fn cache_state(&self, node: NodeId, block: BlockAddr) -> CacheState {
-        self.caches[self.li(node)]
-            .get(&block)
-            .copied()
-            .unwrap_or(CacheState::Invalid)
-    }
-
-    fn set_cache_state(&mut self, node: NodeId, block: BlockAddr, s: CacheState) {
-        let prev = self.cache_state(node, block);
-        self.tally.cache_transition(prev, s);
-        let li = self.li(node);
-        if s == CacheState::Invalid {
-            self.caches[li].remove(&block);
-        } else {
-            self.caches[li].insert(block, s);
-        }
+    fn log(&mut self, ev: impl FnOnce() -> ObsEvent) {
         if self.ring_enabled {
-            self.log.rings.push(
-                ObsEvent::new(self.clocks[li], Severity::Debug, "cache.transition")
-                    .node(node.raw())
-                    .block(block.number())
-                    .msg(s.short_name()),
+            self.log.rings.push(ev());
+        }
+    }
+}
+
+/// One node-range partition of the machine.
+type Shard = Core<Window>;
+
+impl Shard {
+    /// Earliest pending cross-window event time.
+    fn peek_time(&self) -> Option<u64> {
+        self.sched.queue.peek().map(|Reverse((t, _, _))| *t)
+    }
+
+    /// Enqueues an event with its replay-assigned compact rank.
+    fn enqueue(&mut self, time: u64, seq: u64, ev: Event) {
+        let id = self.sched.events.alloc(ev);
+        self.sched.queue.push(Reverse((time, seq, id)));
+    }
+
+    /// Executes every owned event with `time < horizon`, appending all
+    /// side effects to the window log.
+    fn run_window(&mut self, horizon: u64) -> Result<(), SimError> {
+        let w = &mut self.sched;
+        w.horizon = horizon;
+        while let Some(&Reverse((t, _, _))) = w.queue.peek() {
+            if t >= horizon {
+                break;
+            }
+            let Reverse((t, seq, id)) = w.queue.pop().expect("peeked");
+            w.wheap.push(Reverse((t, (seq, Vec::new()), id)));
+        }
+        while let Some(Reverse((t, tie, id))) = self.sched.wheap.pop() {
+            let ev = self.sched.events.free(id).expect("live window event");
+            debug_assert!(
+                (self.lo..self.lo + self.clocks.len()).contains(&owner(&ev).index()),
+                "events stay on their owning shard"
             );
-        }
-    }
-
-    fn set_dir(&mut self, block: BlockAddr, next: DirState) {
-        match (&next, self.proto.limited_pointers) {
-            (DirState::Shared(s), Some(budget)) if s.len() > budget => {
-                if self.overflowed.insert(block) {
-                    self.stats.directory_overflows += 1;
-                }
-            }
-            (DirState::Shared(_), _) => {}
-            _ => {
-                self.overflowed.remove(&block);
-            }
-        }
-        self.tally
-            .dir_transition(self.dirs.get(&block).unwrap_or(&DirState::Idle), &next);
-        self.dirs.insert(block, next);
-    }
-
-    fn on_issue(&mut self, node: NodeId, t: u64) -> Result<(), SimError> {
-        let li = self.li(node);
-        let mut now = self.clocks[li].max(t);
-        while let Some(&(block, op)) = self.scripts[li].front() {
-            let home = home_of_block(block, &self.proto);
-            if node == home {
-                let dir = self.dirs.entry(block).or_default().clone();
-                let sufficient = match op {
-                    ProcOp::Read => dir.node_readable(node),
-                    ProcOp::Write => dir.node_writable(node),
-                } && !self.txns.contains_key(&block);
-                if sufficient {
-                    self.scripts[li].pop_front();
-                    self.stats.count_access(op, true, self.sys.cache_hit_ns);
-                    now += self.sys.cache_hit_ns;
-                    continue;
-                }
-                self.scripts[li].pop_front();
-                self.waiting[li] = Some((block, op, now));
-                self.clocks[li] = now;
-                let req = match op {
-                    ProcOp::Read => MsgType::GetRoRequest,
-                    ProcOp::Write => MsgType::GetRwRequest,
-                };
-                let marker = Msg::new(node, node, block, req);
-                self.enqueue_or_start(marker, now)?;
-                return Ok(());
-            }
-            let state = self.cache_state(node, block);
-            let (transient, action) = cache::on_processor_op(state, op)?;
-            match action {
-                CacheAction::Hit => {
-                    self.scripts[li].pop_front();
-                    self.stats.count_access(op, true, self.sys.cache_hit_ns);
-                    now += self.sys.cache_hit_ns;
-                }
-                CacheAction::Send(req) => {
-                    self.scripts[li].pop_front();
-                    self.set_cache_state(node, block, transient);
-                    let li = self.li(node);
-                    self.waiting[li] = Some((block, op, now));
-                    self.clocks[li] = now;
-                    self.send(now, Msg::new(node, home, block, req));
-                    return Ok(());
-                }
-            }
-        }
-        self.clocks[li] = now;
-        Ok(())
-    }
-
-    fn on_deliver(&mut self, msg: &Msg, t: u64) -> Result<(), SimError> {
-        if msg.receiver_role() == stache::Role::Directory {
-            self.on_directory_receive(msg, t)
-        } else {
-            self.on_cache_receive(msg, t)
-        }
-    }
-
-    fn on_directory_receive(&mut self, msg: &Msg, t: u64) -> Result<(), SimError> {
-        if msg.mtype.is_request() {
-            // Local markers (sender == receiver) are not real messages.
-            if msg.sender != msg.receiver {
-                self.record(t, msg);
-            }
-            self.enqueue_or_start(*msg, t)
-        } else {
-            self.record(t, msg);
-            match self.txns.get_mut(&msg.block) {
-                Some(txn) => {
-                    txn.outstanding -= 1;
-                    if txn.outstanding == 0 {
-                        let service = t + self.sys.handler_ns;
-                        self.finish_txn(msg.block, service)?;
-                    }
-                }
-                None => {
-                    // Voluntary messages (writebacks, early acks) are
-                    // produced only by speculation policies, which this
-                    // engine has no way to install — the speculation
-                    // layer is serialized-engine-only. Guard the clean
-                    // path anyway: a writeback clears a matching owner,
-                    // an early ack is absorbed, so a future wiring
-                    // mistake degrades to a missed optimisation instead
-                    // of a corrupted directory.
-                    if msg.mtype == MsgType::InvalRoResponse {
-                        return Ok(());
-                    }
-                    debug_assert_eq!(msg.mtype, MsgType::InvalRwResponse, "voluntary writeback");
-                    let dir = self.dirs.entry(msg.block).or_default().clone();
-                    if dir.owner() == Some(msg.sender) {
-                        self.set_dir(msg.block, DirState::Idle);
-                    }
-                }
-            }
-            Ok(())
-        }
-    }
-
-    fn enqueue_or_start(&mut self, msg: Msg, t: u64) -> Result<(), SimError> {
-        if self.txns.contains_key(&msg.block) {
-            let id = self.preqs.alloc(PendingReq { msg, arrived: t });
-            self.pending.entry(msg.block).or_default().push_back(id);
-            Ok(())
-        } else {
-            self.start_txn(msg, t)
-        }
-    }
-
-    fn start_txn(&mut self, msg: Msg, t: u64) -> Result<(), SimError> {
-        let home = msg.receiver;
-        let block = msg.block;
-        let local = msg.sender == msg.receiver;
-        let hli = self.li(home);
-        let service = t.max(self.dir_busy[hli]);
-        let dispatch = service + self.sys.handler_ns;
-        self.dir_busy[hli] = dispatch;
-
-        let dir = self.dirs.entry(block).or_default().clone();
-        // The upgrade race: the requester lost its copy to a concurrent
-        // writer while this request was queued; convert to a write miss.
-        let mut effective = msg.mtype;
-        let mut reply_override = None;
-        if effective == MsgType::UpgradeRequest && !dir.holders().contains(msg.sender) {
-            effective = MsgType::GetRwRequest;
-            reply_override = Some(MsgType::GetRwResponse);
-        }
-        let outcome = if local {
-            let op = match effective {
-                MsgType::GetRoRequest => ProcOp::Read,
-                MsgType::GetRwRequest | MsgType::UpgradeRequest => ProcOp::Write,
-                other => unreachable!("local marker {other}"),
-            };
-            match directory::handle_local(&dir, home, op, &self.proto) {
-                Some(o) => o,
-                None => {
-                    // Rights appeared while the request was queued.
-                    self.dir_busy[hli] = service; // handler unused
-                    return self.complete_local(home, block, dispatch);
-                }
-            }
-        } else {
-            directory::handle_request(&dir, home, msg.sender, effective, &self.proto)
-                .map_err(SimError::Protocol)?
-        };
-        let mut holder_requests = outcome.holder_requests;
-        if self.overflowed.contains(&block) && matches!(outcome.next, DirState::Exclusive(_)) {
-            holder_requests = (0..self.proto.nodes)
-                .map(NodeId::new)
-                .filter(|&n| n != msg.sender && n != home)
-                .map(|n| (n, MsgType::InvalRoRequest))
-                .collect();
-        }
-        let reply = if local {
-            None
-        } else {
-            Some(reply_override.unwrap_or_else(|| outcome.reply.expect("remote grants reply")))
-        };
-        let txn = STxn {
-            requester: msg.sender,
-            reply,
-            next: outcome.next,
-            outstanding: holder_requests.len(),
-            local,
-        };
-        for (target, imsg) in &holder_requests {
-            self.send(dispatch, Msg::new(home, *target, block, *imsg));
-        }
-        self.txns.insert(block, txn);
-        if holder_requests.is_empty() {
-            self.finish_txn(block, dispatch)?;
+            self.sched.cur_time = t;
+            self.sched.cur_tie = tie;
+            self.sched.cur_children = 0;
+            self.dispatch(t, ev)?;
+            let w = &mut self.sched;
+            let tie = std::mem::take(&mut w.cur_tie);
+            w.log.entries.push(LogEntry {
+                time: t,
+                tie,
+                push_end: w.log.pushes.len() as u32,
+                rec_end: w.log.recs.len() as u32,
+                ring_end: w.log.rings.len() as u32,
+            });
         }
         Ok(())
     }
+}
 
-    fn finish_txn(&mut self, block: BlockAddr, t: u64) -> Result<(), SimError> {
-        let txn = self.txns.remove(&block).expect("transaction in flight");
-        let home = home_of_block(block, &self.proto);
-        self.set_dir(block, txn.next);
-        if txn.local {
-            self.complete_local(home, block, t)?;
-        } else {
-            let reply = txn.reply.expect("remote transactions reply");
-            self.send(t, Msg::new(home, txn.requester, block, reply));
-        }
-        // The block is free: service the next queued request, if any.
-        if let Some(id) = self.pending.get_mut(&block).and_then(VecDeque::pop_front) {
-            let next = self.preqs.free(id).expect("queued request live");
-            let resume = next.arrived.max(t);
-            self.start_txn(next.msg, resume)?;
-        }
-        Ok(())
-    }
-
-    /// Completes the home node's own (message-free) access.
-    fn complete_local(&mut self, home: NodeId, block: BlockAddr, t: u64) -> Result<(), SimError> {
-        let li = self.li(home);
-        let (wblock, op, issued) = self.waiting[li].take().expect("home was waiting");
-        debug_assert_eq!(wblock, block);
-        let done = t + self.sys.mem_access_ns;
-        self.clocks[li] = self.clocks[li].max(done);
-        self.stats
-            .count_access(op, false, done.saturating_sub(issued));
-        self.push_event(done, SEvent::Issue(home));
-        Ok(())
-    }
-
-    fn on_cache_receive(&mut self, msg: &Msg, t: u64) -> Result<(), SimError> {
-        self.record(t, msg);
-        let node = msg.receiver;
-        let li = self.li(node);
-        let block = msg.block;
-        let state = self.cache_state(node, block);
-        // The cache's software handler serialises incoming messages.
-        let service = t.max(self.cache_busy[li]);
-        let handled = service + self.sys.handler_ns;
-        self.cache_busy[li] = handled;
-
-        // The replacement race: an owner-recall crossing a voluntary
-        // writeback finds the cache already empty; the writeback serves
-        // as the acknowledgment, so stay silent.
-        if msg.mtype == MsgType::InvalRwRequest
-            && matches!(
-                state,
-                CacheState::Invalid | CacheState::IToS | CacheState::IToE
-            )
-        {
-            return Ok(());
-        }
-
-        // A broadcast invalidation reaching a node without a shared copy:
-        // acknowledge without touching the line.
-        if msg.mtype == MsgType::InvalRoRequest
-            && matches!(
-                state,
-                CacheState::Invalid | CacheState::IToS | CacheState::IToE
-            )
-        {
-            let home = msg.sender;
-            self.send(
-                handled,
-                Msg::new(node, home, block, MsgType::InvalRoResponse),
-            );
-            return Ok(());
-        }
-
-        let (next, reply) = cache::on_message(state, msg.mtype)?;
-        self.set_cache_state(node, block, next);
-        match reply {
-            Some(resp) => {
-                // An invalidation or downgrade: acknowledge to the home.
-                let home = msg.sender;
-                self.send(handled, Msg::new(node, home, block, resp));
-            }
-            None => {
-                // A grant: the processor's miss completes.
-                let li = self.li(node);
-                let (wblock, op, issued) = self.waiting[li].take().expect("node was waiting");
-                debug_assert_eq!(wblock, block);
-                let done = handled;
-                self.clocks[li] = self.clocks[li].max(done);
-                self.stats
-                    .count_access(op, false, done.saturating_sub(issued));
-                self.push_event(done, SEvent::Issue(node));
-            }
-        }
-        Ok(())
-    }
+/// Latest node clock across shards.
+fn latest_clock(shards: &[Shard]) -> u64 {
+    shards
+        .iter()
+        .flat_map(|s| s.clocks.iter().copied())
+        .max()
+        .unwrap_or(0)
 }
 
 /// The sharded machine: a coordinator plus `shards` node-range
@@ -697,18 +312,24 @@ impl ShardedMachine {
         let mut lo = 0;
         while lo < nodes {
             let count = chunk.min(nodes - lo);
-            parts.push(Shard::new(proto.clone(), sys.clone(), lo, count));
+            parts.push(Core::new(
+                proto.clone(),
+                sys.clone(),
+                lo,
+                count,
+                Window::new(),
+            ));
             lo += count;
         }
+        // Every pair pays at least one hop, so the first one-hop pair
+        // found is the minimum.
         let mut lookahead = u64::MAX;
-        for a in 0..nodes {
-            for b in 0..nodes {
-                if a != b {
-                    lookahead = lookahead.min(sys.one_way_between_ns(
-                        NodeId::new(a),
-                        NodeId::new(b),
-                        nodes,
-                    ));
+        'pairs: for a in 0..nodes {
+            for b in (0..nodes).filter(|&b| b != a) {
+                let one_way = sys.one_way_between_ns(NodeId::new(a), NodeId::new(b), nodes);
+                lookahead = lookahead.min(one_way);
+                if lookahead == sys.one_way_ns() {
+                    break 'pairs;
                 }
             }
         }
@@ -751,7 +372,7 @@ impl ShardedMachine {
     pub fn set_capture_trace(&mut self, capture: bool) {
         self.capture_trace = capture;
         for s in &mut self.shards {
-            s.capture_trace = capture;
+            s.sched.capture_trace = capture;
         }
     }
 
@@ -771,7 +392,7 @@ impl ShardedMachine {
     pub fn set_ring_enabled(&mut self, enabled: bool) {
         self.ring.set_enabled(enabled);
         for s in &mut self.shards {
-            s.ring_enabled = enabled;
+            s.sched.ring_enabled = enabled;
         }
     }
 
@@ -842,11 +463,7 @@ impl ShardedMachine {
 
     /// Execution time so far (latest node clock).
     pub fn execution_time_ns(&self) -> u64 {
-        self.shards
-            .iter()
-            .flat_map(|s| s.clocks.iter().copied())
-            .max()
-            .unwrap_or(0)
+        latest_clock(&self.shards)
     }
 
     /// One node's recorded cache state for a block.
@@ -857,34 +474,14 @@ impl ShardedMachine {
     /// Every node's effective cache state for `block` (home rights are
     /// derived from the directory entry, as in the audits).
     pub fn cache_states_for(&self, block: BlockAddr) -> Vec<CacheState> {
-        let home = home_of_block(block, &self.proto);
         let dir = self.dir_state(block);
-        (0..self.proto.nodes)
-            .map(|i| {
-                let n = NodeId::new(i);
-                if n == home {
-                    if dir.node_writable(n) {
-                        CacheState::Exclusive
-                    } else if dir.node_readable(n) {
-                        CacheState::Shared
-                    } else {
-                        CacheState::Invalid
-                    }
-                } else {
-                    self.cache_state(n, block)
-                }
-            })
-            .collect()
+        protocol::effective_states(block, &self.proto, &dir, |n| self.cache_state(n, block))
     }
 
     /// The directory entry for `block` (`Idle` if never touched).
     pub fn dir_state(&self, block: BlockAddr) -> DirState {
         let home = home_of_block(block, &self.proto);
-        self.shards[self.shard_of(home)]
-            .dirs
-            .get(&block)
-            .cloned()
-            .unwrap_or_default()
+        self.shards[self.shard_of(home)].dir_state(block)
     }
 
     /// Point-in-time export of every machine metric. Byte-identical for
@@ -951,30 +548,14 @@ impl ShardedMachine {
     /// sequential engine assigns.
     fn begin_phase(&mut self, phase: &Phase) {
         for (node, accesses) in phase.per_node.iter().enumerate() {
-            let si = self.shard_of(NodeId::new(node));
-            let li = node - self.shards[si].lo;
-            let script = &mut self.shards[si].scripts[li];
-            debug_assert!(script.is_empty(), "previous phase drained");
-            for a in accesses {
-                debug_assert_eq!(a.node.index(), node);
-                match a.op {
-                    AccessOp::Read => script.push_back((a.block, ProcOp::Read)),
-                    AccessOp::Write => script.push_back((a.block, ProcOp::Write)),
-                    AccessOp::ReadModifyWrite => {
-                        script.push_back((a.block, ProcOp::Read));
-                        script.push_back((a.block, ProcOp::Write));
-                    }
-                }
-            }
-            if !script.is_empty() {
-                let n = NodeId::new(node);
-                let start = self.shards[si].clocks[li] + phase.delay(n);
-                self.shards[si].clocks[li] = start;
+            let n = NodeId::new(node);
+            let shard = &mut self.shards[n.index() / self.chunk];
+            if let Some(start) = shard.load_script(n, accesses, phase.delay(n)) {
                 let seq = self.seq;
                 self.seq += 1;
                 self.vlen += 1;
                 self.depth.record(self.vlen);
-                self.shards[si].enqueue(start, seq, SEvent::Issue(n));
+                shard.enqueue(start, seq, Event::Issue(n));
             }
         }
     }
@@ -1007,7 +588,7 @@ impl ShardedMachine {
         let logs: Vec<WindowLog> = self
             .shards
             .iter_mut()
-            .map(|s| std::mem::take(&mut s.log))
+            .map(|s| std::mem::take(&mut s.sched.log))
             .collect();
         let k = logs.len();
         let mut ei = vec![0usize; k]; // next entry per shard
@@ -1046,8 +627,6 @@ impl ShardedMachine {
             }
             ri[s] = e.rec_end as usize;
             let push_end = e.push_end as usize;
-            let time_tie_done = ei[s];
-            let _ = time_tie_done;
             for p in pi[s]..push_end {
                 let push = logs[s].pushes[p];
                 let seq = self.seq;
@@ -1055,7 +634,7 @@ impl ShardedMachine {
                 self.vlen += 1;
                 self.depth.record(self.vlen);
                 if !push.consumed {
-                    let si = self.shard_of(push.ev.owner());
+                    let si = self.shard_of(owner(&push.ev));
                     self.shards[si].enqueue(push.time, seq, push.ev);
                 }
             }
@@ -1064,7 +643,7 @@ impl ShardedMachine {
         }
         for (s, mut log) in logs.into_iter().enumerate() {
             log.clear();
-            self.shards[s].log = log;
+            self.shards[s].sched.log = log;
         }
     }
 
@@ -1095,13 +674,8 @@ impl ShardedMachine {
     ///
     /// Returns the first violation found.
     pub fn verify_coherence(&mut self) -> Result<(), SimError> {
-        let mut blocks: HashSet<BlockAddr> = HashSet::new();
-        for s in &self.shards {
-            blocks.extend(s.dirs.keys().copied());
-            for c in &s.caches {
-                blocks.extend(c.keys().copied());
-            }
-        }
+        let blocks: HashSet<BlockAddr> =
+            self.shards.iter().flat_map(Shard::touched_blocks).collect();
         let mut blocks: Vec<BlockAddr> = blocks.into_iter().collect();
         blocks.sort_by_key(|b| b.number());
         for block in blocks {
@@ -1139,23 +713,15 @@ impl ShardedMachine {
     fn check_one_block(&mut self, block: BlockAddr) -> Result<(), SimError> {
         let dir = self.dir_state(block);
         let states = self.cache_states_for(block);
-        self.coord_tally.count_invariant_check();
-        if let Err(v) = check_block(block, &dir, &states) {
-            self.coord_tally.count_invariant_failure();
-            let mut ev = ObsEvent::new(
-                self.execution_time_ns(),
-                Severity::Error,
-                "invariant.failure",
-            )
-            .block(block.number())
-            .msg(v.kind_name());
-            if let Some(n) = v.node() {
-                ev = ev.node(n.raw());
-            }
-            self.ring.push(ev);
-            return Err(SimError::from(v));
-        }
-        Ok(())
+        let shards = &self.shards;
+        protocol::audit_block(
+            block,
+            &dir,
+            &states,
+            &self.coord_tally,
+            &mut self.ring,
+            || latest_clock(shards),
+        )
     }
 }
 
@@ -1189,6 +755,7 @@ where
 mod tests {
     use super::*;
     use crate::driver::Access;
+    use stache::MsgType;
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)

@@ -16,6 +16,13 @@ cargo build --release --offline
 echo "==> cargo test"
 cargo test -q --offline
 
+# The repository benchmark is a package of its own (its own [workspace]),
+# so the root build and tests never compile it. Build it and run its
+# reduced-size self-test of every workload, so an engine API change
+# cannot break the benchmark unseen.
+echo "==> perfbench build + self-test"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Fault-injection smoke matrix: each fault class alone, small rates, small
 # scale. A run fails (panics) on any invariant violation, so this gates
 # the recovery layer end to end.
