@@ -48,6 +48,17 @@ grep -q '"bench.total_ns"' "$SMOKE_DIR/BENCH_smoke.json"
 grep -q '"bench.phase.table5_ns"' "$SMOKE_DIR/BENCH_smoke.json"
 echo "    table5 CSV matches golden; bench JSON emitted"
 
+# Variant smoke: the predictor-variant and history-persistence studies
+# print whole-percent accuracies only; diff their stdout against the
+# golden text (the exact integers behind each cell are pinned by
+# tests/variants_golden.rs).
+echo "==> variants smoke (variants + persistence stdout vs golden)"
+cargo run -q --release --offline -p bench-suite --bin repro -- \
+  --small variants persistence > "$SMOKE_DIR/variants_persistence.txt"
+diff -u crates/bench-suite/tests/golden/variants_persistence_small.txt \
+  "$SMOKE_DIR/variants_persistence.txt"
+echo "    variants/persistence report matches golden"
+
 # Model-checker smoke: exhaustively explore the 2-node configurations and
 # require the simcheck.* obs artefact. The repro target exits non-zero if
 # any exploration finds an invariant violation.
