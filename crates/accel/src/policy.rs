@@ -1,28 +1,46 @@
-//! The Cosmos-driven speculation policy.
+//! The prediction-driven speculation policy of the serial engine.
 
+use crate::fleet::Fleet;
 use cosmos::{CosmosPredictor, MessagePredictor, PredTuple};
 use simx::SpeculationPolicy;
-use stache::{BlockAddr, MsgType, NodeId, Role};
-use std::collections::HashMap;
+use stache::{BlockAddr, MsgType, NodeId};
 use trace::MsgRecord;
 
-/// Drives the machine's speculative actions from live Cosmos predictors —
-/// one per directory and one per cache, trained on exactly the messages
-/// each agent receives, as §3.2 prescribes.
+/// Drives the machine's two speculative actions from live per-agent
+/// predictors — a `D` per directory and a `C` per cache, trained on exactly
+/// the messages each agent receives, as §3.2 prescribes.
 ///
 /// Speculation is deliberately *conservative*: an action fires only when
 /// the agent's predictor has an opinion and that opinion maps to the
 /// action. With no opinion the protocol runs unmodified, so the worst
 /// case degenerates to the baseline plus mispredicted actions.
+///
+/// [`CosmosPolicy`] runs Cosmos at both agents;
+/// [`DirectedPolicy`](crate::directed_policy::DirectedPolicy) runs the §7
+/// directed predictors.
 #[derive(Debug)]
-pub struct CosmosPolicy {
-    depth: usize,
-    directories: HashMap<NodeId, CosmosPredictor>,
-    caches: HashMap<NodeId, CosmosPredictor>,
+pub struct PredictorPolicy<D, C> {
+    fleet: Fleet<D, C>,
     /// Exclusive grants issued.
     pub grants: u64,
     /// Voluntary replacements issued.
     pub replacements: u64,
+}
+
+/// The Cosmos-driven policy: one Cosmos predictor per directory and per
+/// cache.
+pub type CosmosPolicy = PredictorPolicy<CosmosPredictor, CosmosPredictor>;
+
+impl<D: MessagePredictor + Clone, C: MessagePredictor + Clone> PredictorPolicy<D, C> {
+    /// A policy whose agents start as copies of the given empty
+    /// directory and cache predictors.
+    pub(crate) fn with_predictors(directory: D, cache: C) -> Self {
+        PredictorPolicy {
+            fleet: Fleet::new(directory, cache),
+            grants: 0,
+            replacements: 0,
+        }
+    }
 }
 
 impl CosmosPolicy {
@@ -30,36 +48,21 @@ impl CosmosPolicy {
     /// paper's single-bit filter is always on: speculation should not
     /// flip-flop on one noisy message).
     pub fn new(depth: usize) -> Self {
-        CosmosPolicy {
-            depth,
-            directories: HashMap::new(),
-            caches: HashMap::new(),
-            grants: 0,
-            replacements: 0,
-        }
-    }
-
-    fn directory(&mut self, home: NodeId) -> &mut CosmosPredictor {
-        let depth = self.depth;
-        self.directories
-            .entry(home)
-            .or_insert_with(|| CosmosPredictor::new(depth, 1))
-    }
-
-    fn cache(&mut self, node: NodeId) -> &mut CosmosPredictor {
-        let depth = self.depth;
-        self.caches
-            .entry(node)
-            .or_insert_with(|| CosmosPredictor::new(depth, 1))
+        let cosmos = CosmosPredictor::new(depth, 1);
+        PredictorPolicy::with_predictors(cosmos.clone(), cosmos)
     }
 }
 
-impl SpeculationPolicy for CosmosPolicy {
+impl<D, C> SpeculationPolicy for PredictorPolicy<D, C>
+where
+    D: MessagePredictor + Clone + std::fmt::Debug,
+    C: MessagePredictor + Clone + std::fmt::Debug,
+{
     fn grant_exclusive(&mut self, home: NodeId, requester: NodeId, block: BlockAddr) -> bool {
         // The directory predictor has already observed the get_ro_request
         // (observe runs on every reception). If it now expects an
         // upgrade_request from the same requester, grant exclusive.
-        let predicted = self.directory(home).predict(block);
+        let predicted = self.fleet.directory(home).predict(block);
         let fire = predicted == Some(PredTuple::new(requester, MsgType::UpgradeRequest));
         self.grants += u64::from(fire);
         fire
@@ -67,7 +70,7 @@ impl SpeculationPolicy for CosmosPolicy {
 
     fn self_invalidate(&mut self, node: NodeId, block: BlockAddr) -> bool {
         // After the store, does this cache expect its copy to be recalled?
-        let predicted = self.cache(node).predict(block);
+        let predicted = self.fleet.cache(node).predict(block);
         let fire = matches!(
             predicted,
             Some(PredTuple {
@@ -80,17 +83,14 @@ impl SpeculationPolicy for CosmosPolicy {
     }
 
     fn observe(&mut self, record: &MsgRecord) {
-        let tuple = PredTuple::new(record.sender, record.mtype);
-        match record.role {
-            Role::Directory => self.directory(record.node).observe(record.block, tuple),
-            Role::Cache => self.cache(record.node).observe(record.block, tuple),
-        }
+        self.fleet.observe(record);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stache::Role;
 
     fn rec(node: usize, role: Role, block: u64, sender: usize, mtype: MsgType) -> MsgRecord {
         MsgRecord {

@@ -1,9 +1,10 @@
 //! Running workloads with and without speculation and comparing outcomes.
 
+use crate::fleet::Fleet;
 use cosmos::{CosmosPredictor, MessagePredictor, PredTuple};
 use simx::{driver, Machine, SimError, SpeculationPolicy, SystemConfig};
 use stache::{BlockAddr, MsgType, NodeId, ProtocolConfig, Role};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use trace::TraceBundle;
 use workloads::Workload;
@@ -202,7 +203,7 @@ pub struct ActionAudit {
 
 /// Replays a [`CosmosPolicy`](crate::CosmosPolicy)-equivalent fleet over a
 /// finished run's trace — the same per-`(node, role)` agent layout
-/// [`cosmos::record_verdicts`] uses — and counts the actions the live
+/// [`cosmos::eval::record_verdicts`] uses — and counts the actions the live
 /// policy fired, from the recorded messages alone.
 ///
 /// The live policy trains on exactly the receptions the trace records, in
@@ -251,11 +252,9 @@ pub fn audit_actions_chunks<'a>(
 /// The push-based core of [`audit_actions`]: feed records in trace order,
 /// then [`finish`](ActionAuditor::finish). Lets the streaming replay path
 /// audit a trace it never holds whole.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ActionAuditor {
-    depth: usize,
-    filter_max: u8,
-    fleet: HashMap<(NodeId, Role), CosmosPredictor>,
+    fleet: Fleet<CosmosPredictor, CosmosPredictor>,
     /// Exclusive fills in flight, keyed (block, holder): genuine write
     /// requests plus reads the audit granted exclusively. Each one's
     /// arrival is a self-invalidation consult point.
@@ -266,25 +265,22 @@ pub struct ActionAuditor {
 impl ActionAuditor {
     /// Starts an audit with a fleet of the given depth and filter.
     pub fn new(depth: usize, filter_max: u8) -> Self {
+        let cosmos = CosmosPredictor::new(depth, filter_max);
         ActionAuditor {
-            depth,
-            filter_max,
-            ..Default::default()
+            fleet: Fleet::new(cosmos.clone(), cosmos),
+            fills: HashSet::new(),
+            audit: ActionAudit::default(),
         }
     }
 
     /// Feeds one record in trace order.
     pub fn push(&mut self, r: &trace::MsgRecord) {
-        let predictor = self
-            .fleet
-            .entry((r.node, r.role))
-            .or_insert_with(|| CosmosPredictor::new(self.depth, self.filter_max));
         // The machine records a reception (training the policy) before it
         // consults any action for it, so observe first.
-        predictor.observe(r.block, PredTuple::new(r.sender, r.mtype));
+        self.fleet.observe(r);
         match (r.role, r.mtype) {
             (Role::Directory, MsgType::GetRoRequest)
-                if predictor.predict(r.block)
+                if self.fleet.directory(r.node).predict(r.block)
                     == Some(PredTuple::new(r.sender, MsgType::UpgradeRequest)) =>
             {
                 self.audit.exclusive_grants += 1;
@@ -296,7 +292,7 @@ impl ActionAuditor {
             (Role::Cache, MsgType::GetRwResponse | MsgType::UpgradeResponse)
                 if self.fills.remove(&(r.block, r.node))
                     && matches!(
-                        predictor.predict(r.block),
+                        self.fleet.cache(r.node).predict(r.block),
                         Some(PredTuple {
                             mtype: MsgType::InvalRwRequest,
                             ..

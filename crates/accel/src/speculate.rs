@@ -1,12 +1,14 @@
 //! The prediction-actioned policy: every §4 speculation, confidence-gated.
 //!
-//! [`ConfidentPolicy`](crate::ConfidentPolicy) drives the two speculations
-//! the serial engine supports (exclusive grants, self-invalidation). This
-//! policy is the full close-the-loop integration: it additionally arms the
-//! engine's early-invalidation-ack and speculative-forward hooks, so a
-//! trained Cosmos fleet *acts* on its predictions — and the rollback
-//! machinery cleans up when it is wrong. The protocol stays correct
-//! unconditionally; mispredictions only cost time.
+//! [`CosmosPolicy`](crate::CosmosPolicy) drives the two speculations the
+//! serial engine supports (exclusive grants, self-invalidation) on any
+//! learned pattern. This policy is the full close-the-loop integration: it
+//! gates every action on the PHT entry's confidence counter and
+//! additionally arms the engine's early-invalidation-ack and
+//! speculative-forward hooks, so a trained Cosmos fleet *acts* on its
+//! predictions — and the rollback machinery cleans up when it is wrong.
+//! The protocol stays correct unconditionally; mispredictions only cost
+//! time.
 //!
 //! The `threshold` is an `Option`: `None` is an infinite threshold — the
 //! predictors train on every message but no action ever fires. That mode
@@ -14,22 +16,20 @@
 //! structurally enabled but never speculating, byte-for-byte against the
 //! plain one.
 
-use cosmos::{ConfidenceCosmos, MessagePredictor, PredTuple};
+use crate::fleet::Fleet;
+use cosmos::{CosmosPredictor, PredTuple};
 use simx::{ForwardKind, SpeculationPolicy};
-use stache::{BlockAddr, MsgType, NodeId, Role};
-use std::collections::HashMap;
+use stache::{BlockAddr, MsgType, NodeId};
 use trace::MsgRecord;
 
 /// A speculation policy that arms all four protocol actions from one
-/// confidence-gated Cosmos fleet (one predictor per directory and per
-/// cache, as in the paper's per-node tables).
+/// confidence-gated Cosmos fleet (one unfiltered predictor per directory
+/// and per cache, as in the paper's per-node tables).
 #[derive(Debug)]
 pub struct SpeculatePolicy {
-    depth: usize,
     /// Confidence required to act; `None` never acts (observe-only).
     threshold: Option<u8>,
-    directories: HashMap<NodeId, ConfidenceCosmos>,
-    caches: HashMap<NodeId, ConfidenceCosmos>,
+    fleet: Fleet<CosmosPredictor, CosmosPredictor>,
 }
 
 impl SpeculatePolicy {
@@ -37,11 +37,10 @@ impl SpeculatePolicy {
     /// prediction has confidence ≥ `threshold`. `None` is the infinite
     /// threshold: train, never fire.
     pub fn new(depth: usize, threshold: Option<u8>) -> Self {
+        let cosmos = CosmosPredictor::new(depth, 0);
         SpeculatePolicy {
-            depth,
             threshold,
-            directories: HashMap::new(),
-            caches: HashMap::new(),
+            fleet: Fleet::new(cosmos.clone(), cosmos),
         }
     }
 
@@ -50,25 +49,11 @@ impl SpeculatePolicy {
         self.threshold
     }
 
-    fn directory(&mut self, home: NodeId) -> &mut ConfidenceCosmos {
-        let depth = self.depth;
-        self.directories
-            .entry(home)
-            .or_insert_with(|| ConfidenceCosmos::new(depth, 0))
-    }
-
-    fn cache(&mut self, node: NodeId) -> &mut ConfidenceCosmos {
-        let depth = self.depth;
-        self.caches
-            .entry(node)
-            .or_insert_with(|| ConfidenceCosmos::new(depth, 0))
-    }
-
     /// The confident prediction at `agent`, if any. The gate lives here —
     /// not in the predictor — so `threshold: None` can suppress every
     /// action while the tables keep training.
     fn confident(
-        cosmos: &ConfidenceCosmos,
+        cosmos: &CosmosPredictor,
         threshold: Option<u8>,
         block: BlockAddr,
     ) -> Option<PredTuple> {
@@ -82,14 +67,14 @@ impl SpeculatePolicy {
 impl SpeculationPolicy for SpeculatePolicy {
     fn grant_exclusive(&mut self, home: NodeId, requester: NodeId, block: BlockAddr) -> bool {
         let threshold = self.threshold;
-        Self::confident(self.directory(home), threshold, block)
+        Self::confident(self.fleet.directory(home), threshold, block)
             == Some(PredTuple::new(requester, MsgType::UpgradeRequest))
     }
 
     fn self_invalidate(&mut self, node: NodeId, block: BlockAddr) -> bool {
         let threshold = self.threshold;
         matches!(
-            Self::confident(self.cache(node), threshold, block),
+            Self::confident(self.fleet.cache(node), threshold, block),
             Some(PredTuple {
                 mtype: MsgType::InvalRwRequest,
                 ..
@@ -103,7 +88,7 @@ impl SpeculationPolicy for SpeculatePolicy {
         // acknowledge it before it is sent.
         let threshold = self.threshold;
         matches!(
-            Self::confident(self.cache(node), threshold, block),
+            Self::confident(self.fleet.cache(node), threshold, block),
             Some(PredTuple {
                 mtype: MsgType::InvalRoRequest,
                 ..
@@ -120,7 +105,7 @@ impl SpeculationPolicy for SpeculatePolicy {
         // matching copy. A predicted local re-acquisition is not worth a
         // push (the home's own stache refills without the network).
         let threshold = self.threshold;
-        let p = Self::confident(self.directory(home), threshold, block)?;
+        let p = Self::confident(self.fleet.directory(home), threshold, block)?;
         if p.sender == home {
             return None;
         }
@@ -132,17 +117,14 @@ impl SpeculationPolicy for SpeculatePolicy {
     }
 
     fn observe(&mut self, record: &MsgRecord) {
-        let tuple = PredTuple::new(record.sender, record.mtype);
-        match record.role {
-            Role::Directory => self.directory(record.node).observe(record.block, tuple),
-            Role::Cache => self.cache(record.node).observe(record.block, tuple),
-        }
+        self.fleet.observe(record);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stache::Role;
 
     fn rec(node: usize, role: Role, block: u64, sender: usize, mtype: MsgType) -> MsgRecord {
         MsgRecord {
@@ -218,6 +200,7 @@ mod tests {
         p.observe(&rec(2, Role::Cache, 0, 0, MsgType::GetRoResponse));
         // The tables hold confident predictions...
         assert!(p
+            .fleet
             .directory(NodeId::new(0))
             .predict_with_confidence(BlockAddr::new(0))
             .is_some());

@@ -2,45 +2,33 @@
 //!
 //! §4.2 notes that speculative actions must fire "not too early or late",
 //! and §4.3 that mispredictions cost recovery; a natural refinement is to
-//! act only on predictions the tables have *repeatedly confirmed*. This
-//! variant attaches a saturating confidence counter to every PHT entry:
-//! each confirmation increments it, each miss resets it, and the predictor
-//! stays silent until the counter reaches a threshold.
+//! act only on predictions the tables have *repeatedly confirmed*. Every
+//! PHT entry carries a saturating confidence counter
+//! ([`PhtEntry::confidence`](crate::PhtEntry)): each confirmation
+//! increments it, each miss resets it. This variant stays silent until the
+//! counter reaches a threshold.
 //!
 //! The result is a coverage/accuracy dial: higher thresholds answer fewer
 //! messages but are right more often — exactly what an integration wants
 //! when the misprediction penalty `r` is large (Figure 5's model makes the
 //! trade-off explicit).
 
-use crate::fasthash::FastMap;
 use crate::memory::MemoryFootprint;
-use crate::packed::{self, PackedHistory};
+use crate::predictor::CosmosPredictor;
 use crate::tuple::PredTuple;
 use crate::MessagePredictor;
 use stache::BlockAddr;
-use std::collections::hash_map::Entry as MapEntry;
 
-/// A PHT entry with a confidence counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Entry {
-    prediction: PredTuple,
-    /// Consecutive confirmations, saturating at `CONFIDENCE_MAX`.
-    confidence: u8,
-}
-
-/// Saturation point for the confidence counter (2 bits, like branch
-/// predictors' counters).
-pub const CONFIDENCE_MAX: u8 = 3;
+pub use crate::pht::CONFIDENCE_MAX;
 
 /// A Cosmos variant that only predicts once an entry's confidence reaches
-/// the threshold. Replacement is immediate on a miss (the confidence
-/// counter subsumes the noise filter's role).
+/// the threshold: a gate over an unfiltered [`CosmosPredictor`], whose
+/// replacement is immediate on a miss (the confidence counter subsumes the
+/// noise filter's role).
 #[derive(Debug, Clone)]
 pub struct ConfidenceCosmos {
-    depth: usize,
     threshold: u8,
-    histories: FastMap<BlockAddr, PackedHistory>,
-    pht: FastMap<(BlockAddr, u64), Entry>,
+    inner: CosmosPredictor,
 }
 
 impl ConfidenceCosmos {
@@ -48,17 +36,9 @@ impl ConfidenceCosmos {
     /// confidence ≥ `threshold` (0 = always answer, like plain Cosmos;
     /// values above [`CONFIDENCE_MAX`] are clamped).
     pub fn new(depth: usize, threshold: u8) -> Self {
-        assert!(depth > 0, "MHR depth must be at least 1");
-        assert!(
-            depth <= packed::MAX_DEPTH,
-            "MHR depth {depth} exceeds the packed-word maximum of {}",
-            packed::MAX_DEPTH
-        );
         ConfidenceCosmos {
-            depth,
             threshold: threshold.min(CONFIDENCE_MAX),
-            histories: FastMap::default(),
-            pht: FastMap::default(),
+            inner: CosmosPredictor::new(depth, 0),
         }
     }
 
@@ -69,10 +49,7 @@ impl ConfidenceCosmos {
 
     /// The raw prediction regardless of confidence, with its confidence.
     pub fn predict_with_confidence(&self, block: BlockAddr) -> Option<(PredTuple, u8)> {
-        let key = self.histories.get(&block)?.key()?;
-        self.pht
-            .get(&(block, key))
-            .map(|e| (e.prediction, e.confidence))
+        self.inner.predict_with_confidence(block)
     }
 }
 
@@ -87,43 +64,15 @@ impl MessagePredictor for ConfidenceCosmos {
     }
 
     fn observe(&mut self, block: BlockAddr, tuple: PredTuple) {
-        let depth = self.depth;
-        let history = self
-            .histories
-            .entry(block)
-            .or_insert_with(|| PackedHistory::new(depth));
-        if let Some(key) = history.key() {
-            match self.pht.entry((block, key)) {
-                MapEntry::Vacant(slot) => {
-                    slot.insert(Entry {
-                        prediction: tuple,
-                        confidence: 0,
-                    });
-                }
-                MapEntry::Occupied(mut slot) => {
-                    let e = slot.get_mut();
-                    if e.prediction == tuple {
-                        e.confidence = (e.confidence + 1).min(CONFIDENCE_MAX);
-                    } else {
-                        *e = Entry {
-                            prediction: tuple,
-                            confidence: 0,
-                        };
-                    }
-                }
-            }
-        }
-        self.histories
-            .get_mut(&block)
-            .expect("just inserted")
-            .push(tuple.pack());
+        self.inner.observe(block, tuple);
     }
 
     fn memory(&self) -> MemoryFootprint {
-        MemoryFootprint {
-            mhr_entries: self.histories.len(),
-            pht_entries: self.pht.len(),
-        }
+        self.inner.memory()
+    }
+
+    fn core_stats(&self) -> crate::CoreStats {
+        self.inner.core_stats()
     }
 }
 
@@ -206,5 +155,11 @@ mod tests {
     fn threshold_clamped_to_max() {
         let p = ConfidenceCosmos::new(2, 200);
         assert_eq!(p.threshold(), CONFIDENCE_MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "depth")]
+    fn over_deep_history_rejected_at_construction() {
+        let _ = ConfidenceCosmos::new(5, 0);
     }
 }

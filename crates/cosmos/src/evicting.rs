@@ -16,15 +16,16 @@
 use crate::fasthash::FastMap;
 use crate::memory::MemoryFootprint;
 use crate::mhr::Mhr;
-use crate::pht::Pht;
+use crate::predictor::BlockState;
 use crate::tuple::PredTuple;
 use crate::MessagePredictor;
 use stache::BlockAddr;
 
+/// One tracked block: the shared per-block Cosmos step plus this table's
+/// intrusive LRU links, in one map entry.
 #[derive(Debug, Clone)]
-struct BlockState {
-    mhr: Mhr,
-    pht: Option<Pht>,
+struct Node {
+    state: BlockState,
     /// Neighbour toward the MRU end of the intrusive recency list.
     prev: Option<BlockAddr>,
     /// Neighbour toward the LRU end of the intrusive recency list.
@@ -34,16 +35,17 @@ struct BlockState {
 /// A Cosmos predictor whose MHT holds at most `capacity` blocks (LRU).
 ///
 /// Recency is an intrusive doubly-linked list threaded through the
-/// block states (`head` = most recent, `tail` = victim), so a full
+/// block entries (`head` = most recent, `tail` = victim), so a full
 /// table evicts in O(1) — a min-scan over `capacity` entries per insert
 /// melts down exactly in the regime this type exists for, a streaming
 /// trace that touches far more blocks than the table holds.
 #[derive(Debug, Clone)]
 pub struct EvictingCosmos {
-    depth: usize,
+    /// The empty register every new block starts from.
+    empty: Mhr,
     filter_max: u8,
     capacity: usize,
-    blocks: FastMap<BlockAddr, BlockState>,
+    blocks: FastMap<BlockAddr, Node>,
     head: Option<BlockAddr>,
     tail: Option<BlockAddr>,
     /// Blocks whose history was discarded under capacity pressure.
@@ -55,12 +57,12 @@ impl EvictingCosmos {
     ///
     /// # Panics
     ///
-    /// Panics if `depth` or `capacity` is zero.
+    /// Panics if `depth` is outside `1..=`[`MAX_DEPTH`](crate::packed::MAX_DEPTH)
+    /// or `capacity` is zero.
     pub fn new(depth: usize, filter_max: u8, capacity: usize) -> Self {
-        assert!(depth > 0, "MHR depth must be at least 1");
         assert!(capacity > 0, "a zero-capacity MHT cannot predict");
         EvictingCosmos {
-            depth,
+            empty: Mhr::new(depth),
             filter_max,
             capacity,
             blocks: FastMap::default(),
@@ -77,8 +79,8 @@ impl EvictingCosmos {
 
     fn unlink(&mut self, block: BlockAddr) {
         let (prev, next) = {
-            let s = &self.blocks[&block];
-            (s.prev, s.next)
+            let n = &self.blocks[&block];
+            (n.prev, n.next)
         };
         match prev {
             Some(p) => self.blocks.get_mut(&p).expect("list link").next = next,
@@ -93,9 +95,9 @@ impl EvictingCosmos {
     fn push_front(&mut self, block: BlockAddr) {
         let old = self.head;
         {
-            let s = self.blocks.get_mut(&block).expect("pushed block exists");
-            s.prev = None;
-            s.next = old;
+            let n = self.blocks.get_mut(&block).expect("pushed block exists");
+            n.prev = None;
+            n.next = old;
         }
         match old {
             Some(o) => self.blocks.get_mut(&o).expect("list link").prev = Some(block),
@@ -122,9 +124,11 @@ impl MessagePredictor for EvictingCosmos {
     }
 
     fn predict(&self, block: BlockAddr) -> Option<PredTuple> {
-        let state = self.blocks.get(&block)?;
-        let key = state.mhr.key()?;
-        state.pht.as_ref()?.predict(key)
+        self.blocks
+            .get(&block)?
+            .state
+            .predict()
+            .map(|e| e.prediction)
     }
 
     fn observe(&mut self, block: BlockAddr, tuple: PredTuple) {
@@ -136,34 +140,25 @@ impl MessagePredictor for EvictingCosmos {
             }
             self.blocks.insert(
                 block,
-                BlockState {
-                    mhr: Mhr::new(self.depth),
-                    pht: None,
+                Node {
+                    state: BlockState::new(self.empty),
                     prev: None,
                     next: None,
                 },
             );
         }
         self.push_front(block);
-        let state = self.blocks.get_mut(&block).expect("just inserted");
-        if let Some(key) = state.mhr.key() {
-            state
-                .pht
-                .get_or_insert_with(Pht::new)
-                .update(key, tuple, self.filter_max);
-        }
-        state.mhr.shift(tuple);
+        self.blocks
+            .get_mut(&block)
+            .expect("just inserted")
+            .state
+            .observe(tuple, self.filter_max);
     }
 
     fn memory(&self) -> MemoryFootprint {
         MemoryFootprint {
             mhr_entries: self.blocks.len(),
-            pht_entries: self
-                .blocks
-                .values()
-                .filter_map(|s| s.pht.as_ref())
-                .map(Pht::len)
-                .sum(),
+            pht_entries: self.blocks.values().map(|n| n.state.pht_len()).sum(),
         }
     }
 }
@@ -247,5 +242,11 @@ mod tests {
     #[should_panic(expected = "zero-capacity")]
     fn zero_capacity_rejected() {
         let _ = EvictingCosmos::new(1, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "depth")]
+    fn over_deep_history_rejected_at_construction() {
+        let _ = EvictingCosmos::new(5, 0, 8);
     }
 }

@@ -77,7 +77,6 @@ pub use lookahead::{evaluate_lookahead, LookaheadReport};
 pub use macroblock::MacroblockCosmos;
 pub use memory::MemoryFootprint;
 pub use mhr::Mhr;
-pub use packed::PackedHistory;
 pub use pht::{Pht, PhtEntry};
 pub use prealloc::PreallocCosmos;
 pub use predictor::{CosmosPredictor, TypeOnlyCosmos};

@@ -7,17 +7,25 @@
 //! (§3.6): the prediction is replaced only after `max_count + 1`
 //! consecutive mispredictions for the same history.
 //!
-//! Since PR 3 the table is keyed by the **packed history word** (see
+//! [`PhtEntry::update`] is the only copy of that filter rule: the
+//! per-block [`Pht`], the shared table of
+//! [`SharedPhtCosmos`](crate::SharedPhtCosmos) and the bounded slots of
+//! [`PreallocCosmos`](crate::PreallocCosmos) all call it.
+//!
+//! The table is keyed by the **packed history word** (see
 //! [`crate::packed`]) through the allocation-free [`FastMap`]: a probe
-//! hashes one `u64` instead of a heap-allocated `Vec<PredTuple>`, and
-//! updates take a single `entry` probe instead of a `get_mut`-then-`insert`
-//! pair.
+//! hashes one `u64`, and an update takes a single `entry` probe.
 
 use crate::fasthash::FastMap;
 use crate::tuple::PredTuple;
 use std::collections::hash_map::Entry;
 
-/// A PHT entry: the prediction, plus the filter's miss counter.
+/// Saturation point of an entry's confidence counter (2 bits, like branch
+/// predictors' counters).
+pub const CONFIDENCE_MAX: u8 = 3;
+
+/// A PHT entry: the prediction, the filter's miss counter, and a
+/// confidence counter for gated speculation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhtEntry {
     /// The predicted next tuple for this history.
@@ -25,6 +33,38 @@ pub struct PhtEntry {
     /// Consecutive mispredictions observed (saturates at the filter's
     /// maximum count).
     pub misses: u8,
+    /// Consecutive confirmations of the prediction, saturating at
+    /// [`CONFIDENCE_MAX`]; any miss resets it.
+    pub confidence: u8,
+}
+
+impl PhtEntry {
+    /// A freshly learned entry: no misses, no confirmations yet.
+    #[inline]
+    pub fn new(prediction: PredTuple) -> Self {
+        PhtEntry {
+            prediction,
+            misses: 0,
+            confidence: 0,
+        }
+    }
+
+    /// Scores the entry against the actually-observed tuple and applies
+    /// the noise filter with the given maximum count (`filter_max = 0`
+    /// replaces the prediction on the first miss — the unfiltered
+    /// configuration of Table 6's column 0).
+    #[inline]
+    pub fn update(&mut self, observed: PredTuple, filter_max: u8) {
+        if self.prediction == observed {
+            self.misses = 0;
+            self.confidence = (self.confidence + 1).min(CONFIDENCE_MAX);
+        } else if self.misses < filter_max {
+            self.misses += 1;
+            self.confidence = 0;
+        } else {
+            *self = PhtEntry::new(observed);
+        }
+    }
 }
 
 /// A per-block pattern history table.
@@ -39,45 +79,34 @@ impl Pht {
         Pht::default()
     }
 
+    /// The entry for a packed history, if one has been learned.
+    #[inline]
+    pub fn get(&self, key: u64) -> Option<&PhtEntry> {
+        self.entries.get(&key)
+    }
+
     /// The prediction for a packed history, if one has been learned.
     #[inline]
     pub fn predict(&self, key: u64) -> Option<PredTuple> {
-        self.entries.get(&key).map(|e| e.prediction)
+        self.get(key).map(|e| e.prediction)
     }
 
-    /// Updates the entry for `key` with the actually-observed tuple,
-    /// applying the noise filter with the given maximum count
-    /// (`filter_max = 0` replaces the prediction on the first miss — the
-    /// unfiltered configuration of Table 6's column 0).
+    /// Updates the entry for `key` with the actually-observed tuple (see
+    /// [`PhtEntry::update`]); an unseen history learns the tuple outright.
     #[inline]
     pub fn update(&mut self, key: u64, observed: PredTuple, filter_max: u8) {
         match self.entries.entry(key) {
             Entry::Vacant(slot) => {
-                slot.insert(PhtEntry {
-                    prediction: observed,
-                    misses: 0,
-                });
+                slot.insert(PhtEntry::new(observed));
             }
-            Entry::Occupied(mut slot) => {
-                let entry = slot.get_mut();
-                if entry.prediction == observed {
-                    entry.misses = 0;
-                } else if entry.misses < filter_max {
-                    entry.misses += 1;
-                } else {
-                    *entry = PhtEntry {
-                        prediction: observed,
-                        misses: 0,
-                    };
-                }
-            }
+            Entry::Occupied(mut slot) => slot.get_mut().update(observed, filter_max),
         }
     }
 
     /// Installs an entry verbatim (the restore half of
     /// [`crate::snapshot`]): no filter logic applies.
-    pub fn restore_entry(&mut self, key: u64, prediction: PredTuple, misses: u8) {
-        self.entries.insert(key, PhtEntry { prediction, misses });
+    pub fn restore_entry(&mut self, key: u64, entry: PhtEntry) {
+        self.entries.insert(key, entry);
     }
 
     /// Number of learned patterns (Table 7's per-block PHT entry count).
@@ -187,5 +216,26 @@ mod tests {
         assert_eq!(pht.predict(key_b), Some(t(4, MsgType::GetRwRequest)));
         assert_eq!(pht.len(), 2);
         assert_eq!(pht.iter().count(), 2);
+    }
+
+    #[test]
+    fn confidence_counts_confirmations_and_resets_on_any_miss() {
+        let good = t(2, MsgType::InvalRoResponse);
+        let noise = t(3, MsgType::UpgradeRequest);
+        let mut e = PhtEntry::new(good);
+        for expected in [1, 2, 3, 3] {
+            e.update(good, 1);
+            assert_eq!(e.confidence, expected, "saturates at CONFIDENCE_MAX");
+        }
+        e.update(noise, 1); // filtered miss: prediction kept, confidence reset
+        assert_eq!((e.prediction, e.misses, e.confidence), (good, 1, 0));
+        e.update(noise, 1); // replaced
+        assert_eq!(e, PhtEntry::new(noise));
+    }
+
+    #[test]
+    fn entry_layout_stays_compact() {
+        assert_eq!(std::mem::size_of::<PhtEntry>(), 6);
+        assert_eq!(std::mem::size_of::<(u64, PhtEntry)>(), 16);
     }
 }

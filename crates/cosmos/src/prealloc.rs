@@ -17,7 +17,8 @@
 
 use crate::fasthash::FastMap;
 use crate::memory::MemoryFootprint;
-use crate::packed::{self, PackedHistory};
+use crate::mhr::Mhr;
+use crate::pht::PhtEntry;
 use crate::tuple::PredTuple;
 use crate::MessagePredictor;
 use stache::BlockAddr;
@@ -27,8 +28,7 @@ type PatternKey = (BlockAddr, u64);
 
 #[derive(Debug, Clone)]
 struct Slot {
-    prediction: PredTuple,
-    misses: u8,
+    entry: PhtEntry,
     /// Whether the slot lives in the shared pool (true) or the block's
     /// static allocation (false).
     pooled: bool,
@@ -39,11 +39,12 @@ struct Slot {
 /// A Cosmos predictor with the §3.7 bounded memory layout.
 #[derive(Debug, Clone)]
 pub struct PreallocCosmos {
-    depth: usize,
+    /// The empty register every new block starts from.
+    empty: Mhr,
     filter_max: u8,
     static_entries: usize,
     pool_capacity: usize,
-    histories: FastMap<BlockAddr, PackedHistory>,
+    histories: FastMap<BlockAddr, Mhr>,
     entries: FastMap<PatternKey, Slot>,
     static_used: FastMap<BlockAddr, usize>,
     pool_used: usize,
@@ -62,15 +63,13 @@ impl PreallocCosmos {
 
     /// Creates a predictor: MHR `depth`, noise filter `filter_max`,
     /// `static_entries` per block, and a shared pool of `pool_capacity`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth` is outside `1..=`[`MAX_DEPTH`](crate::packed::MAX_DEPTH).
     pub fn new(depth: usize, filter_max: u8, static_entries: usize, pool_capacity: usize) -> Self {
-        assert!(depth > 0, "MHR depth must be at least 1");
-        assert!(
-            depth <= packed::MAX_DEPTH,
-            "MHR depth {depth} exceeds the packed-word maximum of {}",
-            packed::MAX_DEPTH
-        );
         PreallocCosmos {
-            depth,
+            empty: Mhr::new(depth),
             filter_max,
             static_entries,
             pool_capacity,
@@ -124,8 +123,7 @@ impl PreallocCosmos {
         self.entries.insert(
             key,
             Slot {
-                prediction,
-                misses: 0,
+                entry: PhtEntry::new(prediction),
                 pooled,
                 last_used: self.clock,
             },
@@ -140,29 +138,18 @@ impl MessagePredictor for PreallocCosmos {
 
     fn predict(&self, block: BlockAddr) -> Option<PredTuple> {
         let key = self.histories.get(&block)?.key()?;
-        self.entries.get(&(block, key)).map(|s| s.prediction)
+        self.entries.get(&(block, key)).map(|s| s.entry.prediction)
     }
 
     fn observe(&mut self, block: BlockAddr, tuple: PredTuple) {
         self.clock += 1;
-        let depth = self.depth;
-        let history = self
-            .histories
-            .entry(block)
-            .or_insert_with(|| PackedHistory::new(depth));
+        let history = self.histories.entry(block).or_insert(self.empty);
         if let Some(packed_key) = history.key() {
             let key = (block, packed_key);
             match self.entries.get_mut(&key) {
                 Some(slot) => {
                     slot.last_used = self.clock;
-                    if slot.prediction == tuple {
-                        slot.misses = 0;
-                    } else if slot.misses < self.filter_max {
-                        slot.misses += 1;
-                    } else {
-                        slot.prediction = tuple;
-                        slot.misses = 0;
-                    }
+                    slot.entry.update(tuple, self.filter_max);
                 }
                 None => self.insert_pattern(key, tuple),
             }
@@ -170,7 +157,7 @@ impl MessagePredictor for PreallocCosmos {
         self.histories
             .get_mut(&block)
             .expect("just inserted")
-            .push(tuple.pack());
+            .shift(tuple);
     }
 
     fn memory(&self) -> MemoryFootprint {
@@ -268,5 +255,11 @@ mod tests {
         p.observe(b(1), noise); // one miss: filtered
         p.observe(b(1), a);
         assert_eq!(p.predict(b(1)), Some(good));
+    }
+
+    #[test]
+    #[should_panic(expected = "depth")]
+    fn over_deep_history_rejected_at_construction() {
+        let _ = PreallocCosmos::new(5, 0, 4, 8);
     }
 }

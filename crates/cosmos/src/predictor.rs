@@ -11,14 +11,54 @@ use stache::BlockAddr;
 use std::cell::Cell;
 use std::collections::HashMap;
 
-/// Per-block predictor state: the MHR and its private PHT.
+/// Per-block predictor state: the MHR and its private PHT — the per-block
+/// step every per-block Cosmos table ([`CosmosPredictor`],
+/// [`EvictingCosmos`](crate::EvictingCosmos)) runs.
 #[derive(Debug, Clone)]
-struct BlockState {
-    mhr: Mhr,
+pub(crate) struct BlockState {
+    pub(crate) mhr: Mhr,
     /// Allocated lazily: a block gets a PHT only once its reference count
     /// exceeds the MHR depth (Table 7's accounting rule — blocks with at
-    /// most `depth` references never allocate one).
-    pht: Option<Pht>,
+    /// most `depth` references never allocate one). So a block with a PHT
+    /// always has a full register.
+    pub(crate) pht: Option<Pht>,
+}
+
+impl BlockState {
+    /// A block seen for the first time: `empty` is the predictor's empty
+    /// register of its configured depth.
+    #[inline]
+    pub(crate) fn new(empty: Mhr) -> Self {
+        BlockState {
+            mhr: empty,
+            pht: None,
+        }
+    }
+
+    /// §3.3: the PHT entry the current history selects, if one exists.
+    #[inline]
+    pub(crate) fn predict(&self) -> Option<&PhtEntry> {
+        self.pht.as_ref()?.get(self.mhr.key()?)
+    }
+
+    /// §3.4: write the observed tuple as the new prediction for the
+    /// current history (subject to the filter), then left-shift it into
+    /// the MHR.
+    #[inline]
+    pub(crate) fn observe(&mut self, tuple: PredTuple, filter_max: u8) {
+        if let Some(key) = self.mhr.key() {
+            self.pht
+                .get_or_insert_with(Pht::new)
+                .update(key, tuple, filter_max);
+        }
+        self.mhr.shift(tuple);
+    }
+
+    /// Learned patterns (0 before the PHT is allocated).
+    #[inline]
+    pub(crate) fn pht_len(&self) -> usize {
+        self.pht.as_ref().map_or(0, Pht::len)
+    }
 }
 
 /// A Cosmos predictor instance, one per cache or directory module
@@ -29,7 +69,8 @@ struct BlockState {
 /// column 0; the paper's single-bit counter is 1).
 #[derive(Debug, Clone)]
 pub struct CosmosPredictor {
-    depth: usize,
+    /// The empty register every new block starts from.
+    empty: Mhr,
     filter_max: u8,
     blocks: FastMap<BlockAddr, BlockState>,
     /// PHT probe count (lookups + updates), kept in a `Cell` so the
@@ -44,14 +85,8 @@ impl CosmosPredictor {
     ///
     /// Panics if `depth` is zero or exceeds [`packed::MAX_DEPTH`].
     pub fn new(depth: usize, filter_max: u8) -> Self {
-        assert!(depth > 0, "MHR depth must be at least 1");
-        assert!(
-            depth <= packed::MAX_DEPTH,
-            "MHR depth {depth} exceeds the packed-word maximum of {}",
-            packed::MAX_DEPTH
-        );
         CosmosPredictor {
-            depth,
+            empty: Mhr::new(depth),
             filter_max,
             blocks: FastMap::default(),
             probes: Cell::new(0),
@@ -60,7 +95,7 @@ impl CosmosPredictor {
 
     /// The configured MHR depth.
     pub fn depth(&self) -> usize {
-        self.depth
+        self.empty.depth()
     }
 
     /// The configured filter maximum count.
@@ -75,11 +110,26 @@ impl CosmosPredictor {
 
     /// Total PHT entries across all blocks.
     pub fn pht_entries(&self) -> usize {
-        self.blocks
-            .values()
-            .filter_map(|b| b.pht.as_ref())
-            .map(Pht::len)
-            .sum()
+        self.blocks.values().map(BlockState::pht_len).sum()
+    }
+
+    /// The PHT entry `block`'s current history selects, counting the probe
+    /// (a block probes its PHT once it has one).
+    #[inline]
+    fn entry(&self, block: BlockAddr) -> Option<&PhtEntry> {
+        let state = self.blocks.get(&block)?;
+        self.probes
+            .set(self.probes.get() + u64::from(state.pht.is_some()));
+        state.predict()
+    }
+
+    /// The raw prediction for `block` regardless of confidence, with the
+    /// entry's confidence counter (see [`PhtEntry::confidence`]) — what a
+    /// confidence gate such as [`ConfidenceCosmos`](crate::ConfidenceCosmos)
+    /// consults.
+    #[inline]
+    pub fn predict_with_confidence(&self, block: BlockAddr) -> Option<(PredTuple, u8)> {
+        self.entry(block).map(|e| (e.prediction, e.confidence))
     }
 
     /// Predicts a *chain* of up to `n` future messages for `block` by
@@ -122,7 +172,7 @@ impl CosmosPredictor {
                 break;
             };
             chain.push(next);
-            history = packed::push_key(history, self.depth, next.pack());
+            history = packed::push_key(history, self.depth(), next.pack());
         }
         chain
     }
@@ -144,9 +194,15 @@ impl CosmosPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if the register's depth differs from the predictor's.
+    /// Panics if the register's depth differs from the predictor's, or if
+    /// a block with a PHT has a register that is not full (observation
+    /// never produces that state).
     pub fn restore_block(&mut self, addr: BlockAddr, mhr: Mhr, pht: Option<Pht>) {
-        assert_eq!(mhr.depth(), self.depth, "MHR depth mismatch on restore");
+        assert_eq!(mhr.depth(), self.depth(), "MHR depth mismatch on restore");
+        assert!(
+            pht.is_none() || mhr.is_full(),
+            "restored PHT without a full MHR"
+        );
         self.blocks.insert(addr, BlockState { mhr, pht });
     }
 
@@ -154,8 +210,7 @@ impl CosmosPredictor {
     pub fn pht_entry_histogram(&self) -> HashMap<usize, usize> {
         let mut hist = HashMap::new();
         for b in self.blocks.values() {
-            let n = b.pht.as_ref().map_or(0, Pht::len);
-            *hist.entry(n).or_insert(0) += 1;
+            *hist.entry(b.pht_len()).or_insert(0) += 1;
         }
         hist
     }
@@ -189,31 +244,19 @@ impl MessagePredictor for CosmosPredictor {
     /// the PHT's prediction if one exists.
     #[inline]
     fn predict(&self, block: BlockAddr) -> Option<PredTuple> {
-        let state = self.blocks.get(&block)?;
-        let key = state.mhr.key()?;
-        let pht = state.pht.as_ref()?;
-        self.probes.set(self.probes.get() + 1);
-        pht.predict(key)
+        self.entry(block).map(|e| e.prediction)
     }
 
-    /// §3.4: write the observed tuple as the new prediction for the
-    /// current history (subject to the filter), then left-shift it into
-    /// the MHR.
     #[inline]
     fn observe(&mut self, block: BlockAddr, tuple: PredTuple) {
-        let depth = self.depth;
-        let state = self.blocks.entry(block).or_insert_with(|| BlockState {
-            mhr: Mhr::new(depth),
-            pht: None,
-        });
-        if let Some(key) = state.mhr.key() {
-            self.probes.set(self.probes.get() + 1);
-            state
-                .pht
-                .get_or_insert_with(Pht::new)
-                .update(key, tuple, self.filter_max);
-        }
-        state.mhr.shift(tuple);
+        let empty = self.empty;
+        let state = self
+            .blocks
+            .entry(block)
+            .or_insert_with(|| BlockState::new(empty));
+        self.probes
+            .set(self.probes.get() + u64::from(state.mhr.is_full()));
+        state.observe(tuple, self.filter_max);
     }
 
     fn memory(&self) -> MemoryFootprint {
@@ -233,7 +276,7 @@ impl MessagePredictor for CosmosPredictor {
     /// Table 7's tuple accounting, in bits: `depth` tuples per MHR plus
     /// `depth + 1` tuples per PHT entry, at 2 bytes per tuple.
     fn storage_bits(&self) -> u64 {
-        self.memory().bytes(self.depth) as u64 * 8
+        self.memory().bytes(self.depth()) as u64 * 8
     }
 }
 

@@ -15,25 +15,20 @@
 use crate::fasthash::FastMap;
 use crate::memory::MemoryFootprint;
 use crate::mhr::Mhr;
+use crate::pht::PhtEntry;
 use crate::tuple::PredTuple;
 use crate::MessagePredictor;
 use stache::BlockAddr;
 
-/// An entry in the shared table: a tag-less prediction with the paper's
-/// saturating miss counter.
-#[derive(Debug, Clone, Copy)]
-struct SharedEntry {
-    prediction: PredTuple,
-    misses: u8,
-}
-
 /// A Cosmos variant with one shared, fixed-size pattern history table.
 #[derive(Debug, Clone)]
 pub struct SharedPhtCosmos {
-    depth: usize,
+    /// The empty register every new block starts from.
+    empty: Mhr,
     filter_max: u8,
     histories: FastMap<BlockAddr, Mhr>,
-    table: Vec<Option<SharedEntry>>,
+    /// Tag-less entries: aliasing (block, history) pairs share a slot.
+    table: Vec<Option<PhtEntry>>,
 }
 
 impl SharedPhtCosmos {
@@ -42,13 +37,13 @@ impl SharedPhtCosmos {
     ///
     /// # Panics
     ///
-    /// Panics if `depth` is zero or `index_bits` exceeds 24 (a 16M-entry
-    /// table is already far past any hardware point worth studying).
+    /// Panics if `depth` is outside `1..=`[`MAX_DEPTH`](crate::packed::MAX_DEPTH)
+    /// or `index_bits` exceeds 24 (a 16M-entry table is already far past
+    /// any hardware point worth studying).
     pub fn new(depth: usize, filter_max: u8, index_bits: u32) -> Self {
-        assert!(depth > 0, "MHR depth must be at least 1");
         assert!(index_bits <= 24, "table size out of the study's range");
         SharedPhtCosmos {
-            depth,
+            empty: Mhr::new(depth),
             filter_max,
             histories: FastMap::default(),
             table: vec![None; 1 << index_bits],
@@ -66,7 +61,7 @@ impl SharedPhtCosmos {
     /// per-tuple fold over a `&[PredTuple]` history.
     fn index(&self, block: BlockAddr, key: u64) -> usize {
         let mut h = block.number().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        for lane in (0..self.depth).rev() {
+        for lane in (0..self.empty.depth()).rev() {
             let packed = (key >> (16 * lane)) & 0xFFFF;
             h ^= packed.wrapping_mul(0xBF58_476D_1CE4_E5B9);
             h = h.rotate_left(17);
@@ -88,29 +83,12 @@ impl MessagePredictor for SharedPhtCosmos {
     }
 
     fn observe(&mut self, block: BlockAddr, tuple: PredTuple) {
-        let depth = self.depth;
-        let key = self
-            .histories
-            .entry(block)
-            .or_insert_with(|| Mhr::new(depth))
-            .key();
+        let key = self.histories.entry(block).or_insert(self.empty).key();
         if let Some(key) = key {
             let idx = self.index(block, key);
             match &mut self.table[idx] {
-                slot @ None => {
-                    *slot = Some(SharedEntry {
-                        prediction: tuple,
-                        misses: 0,
-                    });
-                }
-                Some(e) if e.prediction == tuple => e.misses = 0,
-                Some(e) if e.misses < self.filter_max => e.misses += 1,
-                Some(e) => {
-                    *e = SharedEntry {
-                        prediction: tuple,
-                        misses: 0,
-                    }
-                }
+                Some(e) => e.update(tuple, self.filter_max),
+                slot @ None => *slot = Some(PhtEntry::new(tuple)),
             }
         }
         self.histories
@@ -201,5 +179,11 @@ mod tests {
     #[should_panic(expected = "range")]
     fn oversized_table_rejected() {
         let _ = SharedPhtCosmos::new(1, 0, 30);
+    }
+
+    #[test]
+    #[should_panic(expected = "depth")]
+    fn over_deep_history_rejected_at_construction() {
+        let _ = SharedPhtCosmos::new(5, 0, 4);
     }
 }

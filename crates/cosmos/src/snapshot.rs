@@ -6,25 +6,29 @@
 //! binary snapshot format:
 //!
 //! ```text
-//! "CPS1" | depth u8 | filter u8 | block_count u32 |
+//! "CPS2" | depth u8 | filter u8 | block_count u32 |
 //!   per block: addr u64 | mhr_len u8 | mhr tuples (u16 each) |
 //!              pht_len u32 | per entry: key tuples (depth u16s) |
-//!                                       prediction u16 | misses u8
+//!                                       prediction u16 | misses u8 |
+//!                                       confidence u8
 //! ```
 //!
-//! The format is self-describing enough to validate on restore; a
-//! restored predictor is bit-for-bit equivalent to the original (same
-//! predictions, same memory accounting, same future evolution).
+//! Blocks are written in address order and each PHT's entries in key
+//! order, so equal predictor contents give equal bytes whatever the hash
+//! tables' iteration order. The format is self-describing enough to
+//! validate on restore; a restored predictor is bit-for-bit equivalent to
+//! the original (same predictions and confidences, same memory
+//! accounting, same future evolution).
 
 use crate::mhr::Mhr;
-use crate::pht::Pht;
+use crate::pht::{Pht, PhtEntry};
 use crate::predictor::CosmosPredictor;
 use crate::tuple::PredTuple;
 use stache::BlockAddr;
 use std::error::Error;
 use std::fmt;
 
-const MAGIC: &[u8; 4] = b"CPS1";
+const MAGIC: &[u8; 4] = b"CPS2";
 
 /// A malformed snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,7 +75,9 @@ pub fn save(predictor: &CosmosPredictor) -> Vec<u8> {
             None => out.extend_from_slice(&0u32.to_be_bytes()),
             Some(pht) => {
                 out.extend_from_slice(&(pht.len() as u32).to_be_bytes());
-                for (key, entry) in pht.iter() {
+                let mut entries: Vec<_> = pht.iter().collect();
+                entries.sort_unstable_by_key(|(key, _)| *key);
+                for (key, entry) in entries {
                     // The packed key's lanes serialise oldest-first as
                     // depth 16-bit tuples — the same wire layout the
                     // `Vec<PredTuple>`-keyed table produced.
@@ -80,6 +86,7 @@ pub fn save(predictor: &CosmosPredictor) -> Vec<u8> {
                     }
                     out.extend_from_slice(&entry.prediction.pack().to_be_bytes());
                     out.push(entry.misses);
+                    out.push(entry.confidence);
                 }
             }
         }
@@ -160,6 +167,9 @@ pub fn restore(bytes: &[u8]) -> Result<CosmosPredictor, SnapshotError> {
         let pht_len = r.u32()? as usize;
         let pht = if pht_len == 0 {
             None
+        } else if !mhr.is_full() {
+            // Observation allocates a PHT only once the register is full.
+            return Err(SnapshotError::BadField { field: "mhr_len" });
         } else {
             let mut pht = Pht::new();
             for _ in 0..pht_len {
@@ -167,9 +177,12 @@ pub fn restore(bytes: &[u8]) -> Result<CosmosPredictor, SnapshotError> {
                 for _ in 0..depth {
                     key = (key << 16) | u64::from(r.tuple()?.pack());
                 }
-                let prediction = r.tuple()?;
-                let misses = r.u8()?;
-                pht.restore_entry(key, prediction, misses);
+                let entry = PhtEntry {
+                    prediction: r.tuple()?,
+                    misses: r.u8()?,
+                    confidence: r.u8()?,
+                };
+                pht.restore_entry(key, entry);
             }
             Some(pht)
         };
@@ -269,6 +282,71 @@ mod tests {
         assert!(matches!(
             restore(&bytes),
             Err(SnapshotError::BadField { field: "depth" })
+        ));
+    }
+
+    #[test]
+    fn roundtrip_preserves_confidence() {
+        let original = trained(1, 0, 300);
+        let restored = restore(&save(&original)).unwrap();
+        for b in 0..7u64 {
+            let block = BlockAddr::new(b);
+            assert_eq!(
+                original.predict_with_confidence(block),
+                restored.predict_with_confidence(block),
+                "block {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn equal_contents_serialise_to_equal_bytes_whatever_the_insertion_order() {
+        let tuple = |i: usize| {
+            PredTuple::new(
+                NodeId::new(i % 16),
+                MsgType::from_code((i % 12) as u8).unwrap(),
+            )
+        };
+        let entries: Vec<(u64, PhtEntry)> = (0..64)
+            .map(|i| {
+                let key = (u64::from(tuple(i).pack()) << 16) | u64::from(tuple(i + 5).pack());
+                (key, PhtEntry::new(tuple(i * 7)))
+            })
+            .collect();
+        let build = |order: &mut dyn Iterator<Item = &(u64, PhtEntry)>| {
+            let mut pht = Pht::new();
+            for &(key, entry) in order {
+                pht.restore_entry(key, entry);
+            }
+            let mut mhr = Mhr::new(2);
+            mhr.shift(tuple(1));
+            mhr.shift(tuple(2));
+            let mut p = CosmosPredictor::new(2, 0);
+            p.restore_block(BlockAddr::new(9), mhr, Some(pht));
+            p
+        };
+        let forward = build(&mut entries.iter());
+        let backward = build(&mut entries.iter().rev());
+        assert_eq!(save(&forward), save(&backward));
+    }
+
+    #[test]
+    fn pht_without_a_full_history_is_rejected() {
+        let t = PredTuple::new(NodeId::new(1), MsgType::GetRoRequest).pack();
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&[2, 0]); // depth 2, filter 0
+        bytes.extend_from_slice(&1u32.to_be_bytes());
+        bytes.extend_from_slice(&7u64.to_be_bytes());
+        bytes.push(1); // one tuple of two: the register is not full
+        bytes.extend_from_slice(&t.to_be_bytes());
+        bytes.extend_from_slice(&1u32.to_be_bytes());
+        for _ in 0..3 {
+            bytes.extend_from_slice(&t.to_be_bytes()); // key lanes, prediction
+        }
+        bytes.extend_from_slice(&[0, 0]); // misses, confidence
+        assert!(matches!(
+            restore(&bytes),
+            Err(SnapshotError::BadField { field: "mhr_len" })
         ));
     }
 }

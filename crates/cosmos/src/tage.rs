@@ -33,14 +33,28 @@
 //! history registers actually allocated, mirroring how Table 7 counts
 //! Cosmos MHR entries.
 
-use crate::fasthash::{FastHash, FastMap};
+use crate::fasthash::FastMap;
 use crate::memory::MemoryFootprint;
-use crate::packed::{self, PackedHistory};
+use crate::mhr::Mhr;
+use crate::packed;
 use crate::predictor::CosmosPredictor;
 use crate::tuple::PredTuple;
 use crate::{CoreStats, MessagePredictor};
 use stache::BlockAddr;
-use std::hash::BuildHasher;
+
+/// The Fx multiplier of [`mix`].
+const MIX_K: u64 = 0x517c_c1b7_2722_0a95;
+
+/// The hash TAGE derives its table indices and tags from: the Fx word
+/// mix, `h = (h.rotate_left(5) ^ word) * K` per word from `h = 0`. It is
+/// written out here rather than taken from the hash-map hasher, so the
+/// predictor's results stay fixed whatever hasher the tables use.
+#[inline]
+fn mix(words: &[u64]) -> u64 {
+    words
+        .iter()
+        .fold(0, |h, &w| (h.rotate_left(5) ^ w).wrapping_mul(MIX_K))
+}
 
 /// Saturation of a tagged entry's 3-bit confidence counter.
 const CTR_MAX: u8 = 7;
@@ -201,7 +215,7 @@ pub struct TagePredictor {
     tables: Vec<Vec<TaggedEntry>>,
     /// Per-block packed history registers (always [`packed::MAX_DEPTH`]
     /// lanes deep; each table masks down to its own length).
-    histories: FastMap<BlockAddr, PackedHistory>,
+    histories: FastMap<BlockAddr, Mhr>,
     probes: std::cell::Cell<u64>,
 }
 
@@ -245,7 +259,7 @@ impl TagePredictor {
     fn table_hash(&self, table: usize, block: BlockAddr, hist_bits: u64) -> u64 {
         let len = self.config.hist_lens[table];
         let masked = hist_bits & packed::key_mask(len);
-        FastHash::default().hash_one((block.number(), masked, table as u64))
+        mix(&[block.number(), masked, table as u64])
     }
 
     #[inline]
@@ -262,15 +276,15 @@ impl TagePredictor {
 
     #[inline]
     fn base_index(&self, block: BlockAddr) -> usize {
-        let h = FastHash::default().hash_one(block.number());
+        let h = mix(&[block.number()]);
         self.index_of(h, self.config.base_bits)
     }
 
     /// Resolves provider, altpred, and the chosen prediction for a block.
     fn lookup(&self, block: BlockAddr) -> Lookup {
         let hist = self.histories.get(&block);
-        let hist_len = hist.map_or(0, PackedHistory::len);
-        let hist_bits = hist.map_or(0, PackedHistory::raw_bits);
+        let hist_len = hist.map_or(0, Mhr::len);
+        let hist_bits = hist.map_or(0, Mhr::raw_bits);
         let mut matches: Vec<(Source, u16, u8)> = Vec::with_capacity(2);
         // Longest history first.
         for i in (0..self.config.num_tables()).rev() {
@@ -335,11 +349,8 @@ impl MessagePredictor for TagePredictor {
     fn observe(&mut self, block: BlockAddr, tuple: PredTuple) {
         let observed = tuple.pack();
         let look = self.lookup(block);
-        let hist_bits = self
-            .histories
-            .get(&block)
-            .map_or(0, PackedHistory::raw_bits);
-        let hist_len = self.histories.get(&block).map_or(0, PackedHistory::len);
+        let hist_bits = self.histories.get(&block).map_or(0, Mhr::raw_bits);
+        let hist_len = self.histories.get(&block).map_or(0, Mhr::len);
 
         // 1. Provider update: reinforce a correct prediction, weaken a
         //    wrong one, and replace the stored tuple once confidence dies.
@@ -433,8 +444,8 @@ impl MessagePredictor for TagePredictor {
         // 5. Shift the observation into the block's history register.
         self.histories
             .entry(block)
-            .or_insert_with(|| PackedHistory::new(packed::MAX_DEPTH))
-            .push(observed);
+            .or_insert_with(|| Mhr::new(packed::MAX_DEPTH))
+            .shift(tuple);
     }
 
     fn memory(&self) -> MemoryFootprint {
@@ -445,7 +456,7 @@ impl MessagePredictor for TagePredictor {
     }
 
     fn core_stats(&self) -> CoreStats {
-        let slot = std::mem::size_of::<(BlockAddr, PackedHistory)>();
+        let slot = std::mem::size_of::<(BlockAddr, Mhr)>();
         CoreStats {
             pht_probes: self.probes.get(),
             table_capacity_bytes: (self.histories.capacity() * slot) as u64
@@ -562,6 +573,17 @@ mod tests {
 
     fn b(i: u64) -> BlockAddr {
         BlockAddr::new(i)
+    }
+
+    #[test]
+    fn index_hash_is_pinned_to_literal_values() {
+        // TAGE's results depend on these exact bits (the tournament golden
+        // pins them end to end); they must not move with the map hasher.
+        assert_eq!(mix(&[42]), 0x5e77_c80c_6b95_bc72);
+        assert_eq!(mix(&[u64::MAX]), 0xae83_3e48_d8dd_f56b);
+        assert_eq!(mix(&[42, 0x1234_5678_9abc_def0, 3]), 0x0821_711d_5fae_f908);
+        assert_eq!(mix(&[7, 0xffff, 1]), 0xf49f_10b8_5083_6e22);
+        assert_eq!(mix(&[u64::MAX, 1, 2]), 0xed80_fd85_4e0e_a411);
     }
 
     #[test]
