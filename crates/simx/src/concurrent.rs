@@ -26,8 +26,8 @@
 //! the fault, speculation and span layers the core consults, and the
 //! controlled-stepping surface [`simcheck`](crate::simcheck) drives. The
 //! full-map and SWMR invariants are audited at every barrier, where the
-//! machine is quiescent; the end-to-end value check is the serialized
-//! engine's.
+//! machine is quiescent, for every block written since the previous
+//! barrier; the end-to-end value check is the serialized engine's.
 
 use crate::config::SystemConfig;
 use crate::driver::{IterationPlan, Phase};
@@ -44,7 +44,6 @@ use stache::{
     RecoveryTally, RollbackTally,
 };
 use std::cell::RefCell;
-use std::collections::HashSet;
 use trace::{MsgRecord, TraceBundle, TraceMeta};
 
 impl Event {
@@ -548,10 +547,16 @@ impl ConcurrentMachine {
 
     /// Every block any cache or directory entry has touched, ascending.
     pub fn touched_blocks(&self) -> Vec<BlockAddr> {
-        let blocks: HashSet<BlockAddr> = self.core.touched_blocks().collect();
-        let mut blocks: Vec<BlockAddr> = blocks.into_iter().collect();
-        blocks.sort_by_key(|b| b.number());
+        let mut blocks: Vec<BlockAddr> = self.core.touched_blocks().collect();
+        protocol::audit_order(&mut blocks);
         blocks
+    }
+
+    /// Cache and directory writes recorded since the last barrier and
+    /// not yet audited, repeats included — zero right after every
+    /// barrier, so the list never outgrows one phase.
+    pub fn unaudited_writes(&self) -> usize {
+        self.core.written.len()
     }
 
     /// Every node's effective cache state for `block`, indexed by node.
@@ -700,7 +705,12 @@ impl ConcurrentMachine {
     /// invariants and synchronises clocks.
     fn barrier(&mut self) -> Result<(), SimError> {
         debug_assert!(self.core.txns.is_empty(), "transactions drained at barrier");
-        self.verify_coherence()?;
+        // A block nobody wrote this phase still holds the state the last
+        // barrier audited, so auditing the written ones in ascending
+        // order fails on exactly the violation a full sweep would.
+        let mut written = std::mem::take(&mut self.core.written);
+        protocol::audit_order(&mut written);
+        self.audit(&written)?;
         // Quiescent: every transaction's root span must have closed. A
         // leftover open span is a bug — flag it rather than losing it.
         if self.layers().spans.is_enabled() {
@@ -721,8 +731,14 @@ impl ConcurrentMachine {
     ///
     /// Returns the first violation found.
     pub fn verify_coherence(&self) -> Result<(), SimError> {
+        self.audit(&self.touched_blocks())
+    }
+
+    /// Audits `blocks` in the given order, stopping at the first
+    /// violation.
+    fn audit(&self, blocks: &[BlockAddr]) -> Result<(), SimError> {
         let mut ring = self.core.sched.ring.borrow_mut();
-        for block in self.touched_blocks() {
+        for &block in blocks {
             let dir = self.core.dir_state(block);
             let states = self.cache_states_for(block);
             protocol::audit_block(block, &dir, &states, &self.core.tally, &mut ring, || {

@@ -2,12 +2,13 @@
 
 use crate::config::SystemConfig;
 use crate::fault::{FaultInjector, FaultPlan, FaultTally};
+use crate::protocol;
 use crate::stats::MachineStats;
 use obs::span::{SpanKind, SpanLog, TraceId};
 use obs::{Event, EventRing, Severity};
 use stache::cache::{self, CacheAction};
 use stache::directory::{self, DirOutcome};
-use stache::invariants::{check_block, InvariantViolation};
+use stache::invariants::InvariantViolation;
 use stache::placement::home_of_block;
 use stache::{
     BlockAddr, CacheState, DedupFilter, DirState, MsgType, NodeId, NodeSet, ProcOp, ProtocolConfig,
@@ -1388,53 +1389,30 @@ impl Machine {
     ///
     /// Returns the violation, if any.
     pub fn verify_block(&self, block: BlockAddr) -> Result<(), SimError> {
-        self.tally.count_invariant_check();
-        let home = home_of_block(block, &self.proto);
         let dir = self.dirs.get(&block).cloned().unwrap_or_default();
-        let states: Vec<CacheState> = (0..self.proto.nodes)
-            .map(|i| {
-                let n = NodeId::new(i);
-                if n == home {
-                    // The home's effective state is derived from the entry.
-                    if dir.node_writable(n) {
-                        CacheState::Exclusive
-                    } else if dir.node_readable(n) {
-                        CacheState::Shared
-                    } else {
-                        CacheState::Invalid
-                    }
-                } else {
-                    self.cache_state(n, block)
-                }
-            })
-            .collect();
-        check_block(block, &dir, &states).map_err(|v| {
-            self.tally.count_invariant_failure();
-            let mut ev = Event::new(
-                self.execution_time_ns(),
-                Severity::Error,
-                "invariant.failure",
-            )
-            .block(block.number())
-            .msg(v.kind_name());
-            if let Some(n) = v.node() {
-                ev = ev.node(n.raw());
-            }
-            self.ring.borrow_mut().push(ev);
-            SimError::from(v)
-        })
+        let states =
+            protocol::effective_states(block, &self.proto, &dir, |n| self.cache_state(n, block));
+        protocol::audit_block(
+            block,
+            &dir,
+            &states,
+            &self.tally,
+            &mut self.ring.borrow_mut(),
+            || self.execution_time_ns(),
+        )
     }
 
-    /// Audits every block ever touched.
+    /// Audits every block ever touched, in ascending block order.
     ///
     /// # Errors
     ///
     /// Returns the first violation found.
     pub fn verify_coherence(&self) -> Result<(), SimError> {
-        let mut blocks: HashSet<BlockAddr> = self.dirs.keys().copied().collect();
+        let mut blocks: Vec<BlockAddr> = self.dirs.keys().copied().collect();
         for c in &self.caches {
             blocks.extend(c.keys().copied());
         }
+        protocol::audit_order(&mut blocks);
         for b in blocks {
             self.verify_block(b)?;
         }

@@ -270,6 +270,14 @@ pub(crate) fn audit_block(
     })
 }
 
+/// Sorts and dedups a block list into ascending block order, the order
+/// every coherence audit walks, so the first violation reported never
+/// depends on hash iteration order.
+pub(crate) fn audit_order(blocks: &mut Vec<BlockAddr>) {
+    blocks.sort_unstable_by_key(|b| b.number());
+    blocks.dedup();
+}
+
 /// The protocol state of the nodes `lo .. lo + clocks.len()` plus the
 /// scheduler `sched` that moves their events.
 #[derive(Debug)]
@@ -300,6 +308,11 @@ pub(crate) struct Core<X> {
     pub(crate) stats: MachineStats,
     /// Per-transition and invariant-check tallies.
     pub(crate) tally: ProtocolTally,
+    /// Blocks whose cache or directory entry was written since the last
+    /// barrier, in write order with repeats. A block not listed kept the
+    /// state the previous barrier audited, so the barrier audits only
+    /// these, then clears the list.
+    pub(crate) written: Vec<BlockAddr>,
     pub(crate) iteration: u32,
     pub(crate) sched: X,
 }
@@ -330,6 +343,7 @@ impl<X: Sched> Core<X> {
             waiting: vec![None; count],
             stats: MachineStats::default(),
             tally: ProtocolTally::new(),
+            written: Vec::new(),
             iteration: 0,
             sched,
         }
@@ -492,6 +506,7 @@ impl<X: Sched> Core<X> {
         } else {
             self.caches[li].insert(block, s);
         }
+        self.written.push(block);
         let clock = self.clocks[li];
         self.sched.log(|| {
             ObsEvent::new(clock, Severity::Debug, "cache.transition")
@@ -516,6 +531,7 @@ impl<X: Sched> Core<X> {
         self.tally
             .dir_transition(self.dirs.get(&block).unwrap_or(&DirState::Idle), &next);
         self.dirs.insert(block, next);
+        self.written.push(block);
     }
 
     fn record(&mut self, time: u64, msg: &Msg) {

@@ -63,7 +63,7 @@ use obs::{Event as ObsEvent, EventRing};
 use stache::placement::home_of_block;
 use stache::{BlockAddr, CacheState, DirState, Msg, NodeId, ProtocolConfig, ProtocolTally};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use trace::{MsgRecord, TraceBundle, TraceMeta};
 
 /// The node whose shard must execute an event.
@@ -377,15 +377,24 @@ impl ShardedMachine {
     }
 
     /// Turns the per-barrier coherence audit off (or back on). The audit
-    /// walks every touched block at every barrier — exhaustive and right
-    /// for protocol validation, but O(blocks × nodes × barriers) and so
-    /// unaffordable at millions of blocks. Scale runs disable it and
+    /// checks every block written since the previous barrier — as strong
+    /// as a full sweep, since an unwritten block keeps the state the
+    /// previous audit passed — at O(blocks written in the phase × nodes).
+    /// At 512+ nodes that is still dear, so scale runs disable it and
     /// finish with one [`verify_coherence_sampled`]
-    /// (Self::verify_coherence_sampled) sweep instead. Note the audit
-    /// feeds `stache.invariant.checks`, so snapshots are only comparable
-    /// between runs using the same audit setting.
+    /// (Self::verify_coherence_sampled) sweep instead. Blocks written
+    /// while audits are off are never audited at a barrier. Note the
+    /// audit feeds `stache.invariant.checks`, so snapshots are only
+    /// comparable between runs using the same audit setting.
     pub fn set_audit_barriers(&mut self, audit: bool) {
         self.audit_barriers = audit;
+    }
+
+    /// Cache and directory writes recorded since the last barrier and
+    /// not yet audited, summed over shards, repeats included — zero right
+    /// after every barrier, audited or not.
+    pub fn unaudited_writes(&self) -> usize {
+        self.shards.iter().map(|s| s.written.len()).sum()
     }
 
     /// Enables or disables the flight recorder (enabled by default).
@@ -654,8 +663,20 @@ impl ShardedMachine {
             self.shards.iter().all(|s| s.txns.is_empty()),
             "transactions drained at barrier"
         );
-        if self.audit_barriers {
-            self.verify_coherence()?;
+        // Only blocks written this phase can have changed since the last
+        // audit. The shards' lists are drained even with audits off, so
+        // their memory stays bounded by one phase's writes.
+        let mut written = Vec::new();
+        for s in &mut self.shards {
+            if self.audit_barriers {
+                written.append(&mut s.written);
+            } else {
+                s.written.clear();
+            }
+        }
+        protocol::audit_order(&mut written);
+        for block in written {
+            self.check_one_block(block)?;
         }
         let max = self.execution_time_ns();
         for s in &mut self.shards {
@@ -674,10 +695,9 @@ impl ShardedMachine {
     ///
     /// Returns the first violation found.
     pub fn verify_coherence(&mut self) -> Result<(), SimError> {
-        let blocks: HashSet<BlockAddr> =
+        let mut blocks: Vec<BlockAddr> =
             self.shards.iter().flat_map(Shard::touched_blocks).collect();
-        let mut blocks: Vec<BlockAddr> = blocks.into_iter().collect();
-        blocks.sort_by_key(|b| b.number());
+        protocol::audit_order(&mut blocks);
         for block in blocks {
             self.check_one_block(block)?;
         }
@@ -701,8 +721,7 @@ impl ShardedMachine {
         for s in &self.shards {
             blocks.extend(s.dirs.keys().copied());
         }
-        blocks.sort_by_key(|b| b.number());
-        blocks.dedup();
+        protocol::audit_order(&mut blocks);
         let stride = blocks.len().div_ceil(max_blocks).max(1);
         for block in blocks.into_iter().step_by(stride) {
             self.check_one_block(block)?;

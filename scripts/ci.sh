@@ -145,6 +145,16 @@ grep -q '"stache.rollback.pushes"' "$SMOKE_DIR/speedup_obs.json"
 grep -q '"stache.rollback.early_acks"' "$SMOKE_DIR/speedup_obs.json"
 echo "    speedup CSV matches golden; rollback obs JSON emitted"
 
+# Paper-scale speculation diff: the same report at full length (~10 s),
+# diffed against the committed artifacts/csv/speedup.csv, so the fault,
+# recovery and speculation paths are pinned beyond the small suite.
+echo "==> paper-scale speculation (speedup report vs artifacts/csv)"
+mkdir -p "$SMOKE_DIR/paper"
+cargo run -q --release --offline -p bench-suite --bin repro -- \
+  --csv "$SMOKE_DIR/paper" speedup > /dev/null
+diff -u artifacts/csv/speedup.csv "$SMOKE_DIR/paper/speedup.csv"
+echo "    paper-scale speedup CSV matches artifacts/csv/speedup.csv"
+
 # Packed-trace smoke: run the streaming pack/sample pipeline at small
 # scale and diff the deterministic CSV against its golden. The CSV pins
 # the codec byte totals, compression ratios, SimPoint-sampled vs full
